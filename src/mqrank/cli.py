@@ -196,6 +196,9 @@ def cmd_simulate(args) -> int:
         return _fail(str(exc))
     except MqrankError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
+    if report.replications_used == 0:
+        return _fail(f"all {report.error_count} replications failed; first: "
+                     f"{report.error_messages[0]}", EXIT_NUMERICAL)
 
     print(f"seed: {scenario.seed}", file=sys.stderr)
     if args.format == "json":

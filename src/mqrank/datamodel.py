@@ -156,6 +156,22 @@ def validate(dataset: Dataset, spec: QuantileSpec):
             f"y has fewer than p + 1 = {p + 1} distinct values; the "
             "quantile-regression program would be degenerate"))
 
+    issues.extend(_spec_issues(spec))
+    if issues:
+        raise ValidationError(issues)
+    return dataset, spec
+
+
+def validate_spec(spec: QuantileSpec) -> QuantileSpec:
+    """Check the level set alone (range, distinctness, null-value count)."""
+    issues = _spec_issues(spec)
+    if issues:
+        raise ValidationError(issues)
+    return spec
+
+
+def _spec_issues(spec: QuantileSpec) -> list:
+    issues = []
     taus = np.asarray(spec.taus, dtype=float)
     if taus.size < 1:
         issues.append(ValidationIssue("QuantileOutOfRange", "no quantile levels given"))
@@ -169,7 +185,4 @@ def validate(dataset: Dataset, spec: QuantileSpec):
         issues.append(ValidationIssue(
             "QuantileOutOfRange",
             "null_values length does not match the number of quantile levels"))
-
-    if issues:
-        raise ValidationError(issues)
-    return dataset, spec
+    return issues

@@ -5,39 +5,84 @@ probabilities of positively weighted sums of independent (noncentral)
 chi-square variables are computed by numerical inversion of the
 characteristic function (Imhof's method):
 
-    P(Q > x) = 1/2 + (1/pi) * int_0^inf sin(theta(u)) / (u * rho(u)) du,
+    P(Q > x) = 1/2 + (1/pi) * int_0^inf A(u) sin(theta(u)) du,
 
     theta(u) = 1/2 * sum_i [ h_i * atan(l_i u) + z_i l_i u / (1 + l_i^2 u^2) ]
                - x u / 2,
+    A(u)     = 1 / (u * rho(u)),
     rho(u)   = prod_i (1 + l_i^2 u^2)^{h_i/4}
                * exp( 1/2 * sum_i z_i l_i^2 u^2 / (1 + l_i^2 u^2) ),
 
 with weights l_i > 0, noncentralities z_i >= 0 and per-component degrees
 of freedom h_i. The integrand oscillates at asymptotic frequency x/2 and
-decays like u^(-1 - sum(h)/2), so the integral is split into a head,
-integrated by adaptive Gauss-Kronrod over geometrically growing panels,
-and a Fourier tail handled by QUADPACK's cosine/sine transform routine
-(QAWF), which accelerates the oscillatory remainder. When the absolute
-truncation bound already meets the tolerance before the first full
-oscillation, the tail is dropped instead.
+decays like u^(-1 - sum(h)/2). As in Davies (1980, AS 155), the integral
+is cut at a point U with an explicit truncation bound instead of being
+chased to infinity by oscillatory quadrature. One integration by parts
+gives, with g = A / theta',
+
+    int_U^inf A sin(theta) du = g(U) cos(theta(U)) + R,
+    |R| <= 2 |g'(U) / theta'(U)|,
+
+which holds once theta' stays negative beyond U and g' / theta' decays
+there without turning back. U starts at one oscillation cycle, 4 pi / x,
+or at 1 / max(l_i) if that is larger, and doubles until the bound is
+below 1e-10; the boundary term is added. The head
+(0, U] is integrated by the 21-point Gauss-Kronrod rule on panels no
+longer than one cycle, with all nodes of a round evaluated as numpy
+arrays in bounded blocks. Panels whose |K21 - G10| exceeds their share
+of a 1e-10 budget are bisected and evaluated again.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.optimize import brentq
 from scipy.stats import chi2, ncx2
 
 from .exceptions import QuadratureFailure
 
-# absolute error budget for imhof_upper; the contract promises 1e-6
-_TAIL_TOL = 5e-8
-_HEAD_EPSABS = 1e-11
-_MAX_PANELS = 4000
+# absolute budgets on the integral, so the p-value error is below 1e-10;
+# the contract promises 1e-6, but neighbouring deep-tail values must also
+# stay monotone to 1e-9
+_HEAD_TOL = 1e-10
+_TAIL_TOL = 1e-10
+_MAX_PANELS = 1 << 18
+_MAX_ROUNDS = 40
+# |K21 - G10| below this multiple of K21(|f|) is rounding, not truncation
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+# nodes x components evaluated per numpy block; bounds the working memory
+_BLOCK = 1 << 16
+
+_CHERNOFF_GRID = 0.5 * (1.0 - 0.5 ** np.arange(1, 13))
+
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21). The half tables
+# run from the outermost abscissa to 0; the 10-point Gauss rule uses every
+# other abscissa, starting with the second.
+_XK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525478780, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG_HALF = np.zeros(11)
+_WG_HALF[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338]
+_GK_NODES = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
+_GK_WEIGHTS = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
+_KRONROD_MINUS_GAUSS = _GK_WEIGHTS - np.concatenate([_WG_HALF[:-1],
+                                                     _WG_HALF[::-1]])
 
 
 @dataclass(frozen=True)
@@ -104,50 +149,108 @@ def chisq_noncentral_upper(x: float, k: int, zeta: float) -> float:
     return float(ncx2.sf(x, k, zeta))
 
 
-def _imhof_parts(mix: WeightedChiSquareMixture):
-    lam = np.asarray(mix.weights, dtype=float)
-    zet = np.asarray(mix.noncentralities, dtype=float)
-    dfs = np.asarray(mix.dfs, dtype=float)
-
-    def phase_free(u):
-        lu = lam * u
-        return 0.5 * (np.sum(dfs * np.arctan(lu))
-                      + np.sum(zet * lu / (1.0 + lu * lu)))
-
-    def amplitude(u):
-        lu2 = (lam * u) ** 2
-        log_rho = (0.25 * np.sum(dfs * np.log1p(lu2))
-                   + 0.5 * np.sum(zet * lu2 / (1.0 + lu2)))
-        return np.exp(-log_rho) / u
-
-    return lam, zet, dfs, phase_free, amplitude
-
-
-def _truncation_point(mix: WeightedChiSquareMixture, tol: float) -> float:
-    """U with (1/pi) * int_U^inf |integrand| du <= tol, ignoring oscillation.
-
-    Uses (1 + l^2 u^2)^{1/4} >= sqrt(l u), so the envelope is bounded by
-    u^(-1 - K/2) / prod l_i^{h_i/2} with K = sum h_i; the exponential
-    noncentrality factor only shrinks it further.
-    """
-    lam = np.asarray(mix.weights, dtype=float)
-    dfs = np.asarray(mix.dfs, dtype=float)
-    ksum = float(dfs.sum())
-    log_u = (2.0 / ksum) * (np.log(2.0 / (ksum * np.pi * tol))
-                            - 0.5 * float(np.sum(dfs * np.log(lam))))
-    return float(np.exp(min(log_u, 690.0)))
-
-
 def _chernoff_tail_bound(mix: WeightedChiSquareMixture, x: float) -> float:
-    """Upper bound on P(Q > x) from the MGF at t = 1/(4 max weight)."""
+    """Upper bound on P(Q > x): exp(log MGF(t) - t x), least over a grid
+    of t = (1 - 2^-j) / (2 max weight), j = 1..12; any t in that range
+    gives a valid bound."""
     lam = np.asarray(mix.weights, dtype=float)
     zet = np.asarray(mix.noncentralities, dtype=float)
     dfs = np.asarray(mix.dfs, dtype=float)
-    t = 0.25 / float(np.max(lam))
-    tl = t * lam
-    log_mgf = float(-0.5 * np.sum(dfs * np.log1p(-2.0 * tl))
-                    + np.sum(zet * tl / (1.0 - 2.0 * tl)))
-    return float(np.exp(min(log_mgf - t * x, 0.0)))
+    t = _CHERNOFF_GRID / float(np.max(lam))
+    tl = t[:, None] * lam
+    log_mgf = (-0.5 * np.log1p(-2.0 * tl)) @ dfs + (tl / (1.0 - 2.0 * tl)) @ zet
+    return float(np.exp(min(float(np.min(log_mgf - t * x)), 0.0)))
+
+
+def _integrand(u, lam, zet, dfs, x):
+    """A(u) sin(theta(u)) at every entry of the 1-D array u > 0."""
+    s = u[:, None] * lam
+    s2 = s * s
+    theta = 0.5 * (np.arctan(s) @ dfs) - 0.5 * x * u
+    log_rho = 0.25 * (np.log1p(s2) @ dfs)
+    if zet.any():
+        r = 1.0 / (1.0 + s2)
+        theta += 0.5 * ((s * r) @ zet)
+        log_rho += 0.5 * ((s2 * r) @ zet)
+    return np.sin(theta) * np.exp(-log_rho) / u
+
+
+def _tail_beyond(upper, lam, zet, dfs, x):
+    """Boundary term g cos(theta) at `upper` and the bound 2 |g' / theta'|
+    on the rest of the integral beyond it, where g = A / theta'.
+
+    The bound is infinite unless theta' < 0 on all of [upper, inf). The
+    central part of theta' falls with u, and each noncentral part is
+    positive only while l u < 1, where it falls too, so their values at
+    `upper` bound theta' beyond it. |g'| is bounded term by term, so g'
+    passing through zero at `upper` cannot fake a small bound.
+    """
+    s = lam * upper
+    s2 = s * s
+    r = 1.0 / (1.0 + s2)
+    d_sup = 0.5 * (lam @ (r * (dfs + zet * np.maximum(1.0 - s2, 0.0) * r))) \
+        - 0.5 * x
+    if not d_sup < 0.0:
+        return 0.0, np.inf
+    theta = 0.5 * (dfs @ np.arctan(s) + zet @ (s * r)) - 0.5 * x * upper
+    amp = np.exp(-(0.25 * (dfs @ np.log1p(s2)) + 0.5 * (zet @ (s2 * r)))) / upper
+    d1 = 0.5 * (lam @ (r * (dfs + zet * (1.0 - s2) * r))) - 0.5 * x
+    d2 = (lam * lam * s * r * r) @ (zet * (s2 - 3.0) * r - dfs)
+    d_log_amp = -1.0 / upper - (lam * s * r) @ (0.5 * dfs + zet * r)
+    bound = 2.0 * amp * (abs(d_log_amp) + abs(d2 / d1)) / (d1 * d1)
+    return float(amp / d1 * np.cos(theta)), float(bound)
+
+
+def _gauss_kronrod(a, b, f, block):
+    """K21 value, |K21 - G10| and K21 of |f| on each panel (a_i, b_i)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    val, err, absval = np.empty(a.size), np.empty(a.size), np.empty(a.size)
+    for i in range(0, a.size, block):
+        sl = slice(i, i + block)
+        fu = f((mid[sl, None] + half[sl, None] * _GK_NODES).ravel())
+        fu = fu.reshape(-1, _GK_NODES.size)
+        val[sl] = (fu @ _GK_WEIGHTS) * half[sl]
+        err[sl] = np.abs(fu @ _KRONROD_MINUS_GAUSS) * half[sl]
+        absval[sl] = (np.abs(fu) @ _GK_WEIGHTS) * half[sl]
+    return val, err, absval
+
+
+def _integrate_head(f, upper, cycle, lmax, block):
+    """int_0^upper f over K21 panels, bisecting those over their error share.
+
+    Panels double in length from 0.5 / lmax up to one oscillation cycle,
+    then stay one cycle long. Half of the budget is shared in proportion
+    to panel length and half equally, so the short panels near the
+    origin keep a share that rounding does not swamp.
+    """
+    top = min(cycle, upper)
+    edges = [0.0]
+    s = min(0.5 / lmax, top)
+    while s < top:
+        edges.append(s)
+        s *= 2.0
+    m = int(np.ceil((upper - edges[-1]) / cycle))
+    if len(edges) + m > _MAX_PANELS:
+        raise QuadratureFailure("too many quadrature panels")
+    edges = np.concatenate([edges, np.linspace(edges[-1], upper, m + 1)[1:]])
+    a, b = edges[:-1], edges[1:]
+    share = 0.5 * _HEAD_TOL * ((b - a) / upper + 1.0 / a.size)
+
+    total = 0.0
+    for _ in range(_MAX_ROUNDS):
+        val, err, absval = _gauss_kronrod(a, b, f, block)
+        done = (err <= share) | (err <= _ROUNDOFF * absval)
+        total += float(val[done].sum())
+        if done.all():
+            return total
+        a, b, share = a[~done], b[~done], 0.5 * share[~done]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        share = np.concatenate([share, share])
+        if a.size > _MAX_PANELS:
+            break
+    raise QuadratureFailure("quadrature panels did not meet the error budget")
 
 
 def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
@@ -164,114 +267,25 @@ def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
     if _chernoff_tail_bound(mix, x) < 1e-9:
         return 0.0
 
-    lam, zet, dfs, phase_free, amplitude = _imhof_parts(mix)
+    lam = np.asarray(mix.weights, dtype=float)
+    zet = np.asarray(mix.noncentralities, dtype=float)
+    dfs = np.asarray(mix.dfs, dtype=float)
+    lmax = float(lam.max())
+    cycle = 4.0 * np.pi / x
 
-    def integrand(u):
-        return np.sin(phase_free(u) - 0.5 * x * u) * amplitude(u)
+    upper = max(cycle, 1.0 / lmax)
+    tail, bound = _tail_beyond(upper, lam, zet, dfs, x)
+    while bound > _TAIL_TOL:
+        upper *= 2.0
+        if upper > _MAX_PANELS * cycle or upper * lmax > 1e100:
+            raise QuadratureFailure("could not certify the truncated tail")
+        tail, bound = _tail_beyond(upper, lam, zet, dfs, x)
 
-    w = 0.5 * x
-    cycle = 2.0 * np.pi / w
-    lmax = float(np.max(lam))
-    u_amp = _truncation_point(mix, _TAIL_TOL)
-
-    if u_amp <= cycle:
-        upper, use_tail = u_amp, False
-    else:
-        upper, use_tail = max(4.0 / lmax, cycle), True
-
-    head, head_err = _integrate_head(integrand, upper, cycle, lmax)
-
-    tail = 0.0
-    tail_err = 0.0
-    if use_tail:
-        tail, tail_err = _integrate_tail(phase_free, amplitude, upper, w)
-
-    total_err = head_err + tail_err
-    if not np.isfinite(total_err) or total_err > 5e-7:
-        raise QuadratureFailure(
-            f"estimated quadrature error {total_err:.2e} exceeds budget")
+    block = max(1, _BLOCK // (_GK_NODES.size * lam.size))
+    head = _integrate_head(lambda u: _integrand(u, lam, zet, dfs, x),
+                           upper, cycle, lmax, block)
     p = 0.5 + (head + tail) / np.pi
     return float(min(1.0, max(0.0, p)))
-
-
-def _integrate_head(integrand, upper, cycle, lmax):
-    """Adaptive panels over (0, upper]: geometric growth, capped per cycle."""
-    breaks = [0.0]
-    s = min(0.5 / lmax, upper / 4.0)
-    while s < upper:
-        breaks.append(s)
-        s *= 4.0
-    breaks.append(upper)
-
-    panels = []
-    max_len = 25.0 * cycle
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a > max_len:
-            m = int(np.ceil((b - a) / max_len))
-            if len(panels) + m > _MAX_PANELS:
-                raise QuadratureFailure("too many quadrature panels")
-            edges = np.linspace(a, b, m + 1)
-            panels.extend(zip(edges[:-1], edges[1:]))
-        else:
-            panels.append((a, b))
-    if len(panels) > _MAX_PANELS:
-        raise QuadratureFailure("too many quadrature panels")
-
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in panels:
-            v, e = integrate.quad(integrand, a, b, limit=300,
-                                  epsabs=_HEAD_EPSABS, epsrel=1e-10)
-            total += v
-            err += e
-    return total, err
-
-
-def _integrate_tail(phase_free, amplitude, upper, w):
-    """Fourier tail from `upper`: sin(theta) split against cos/sin(w u).
-
-    On poor convergence the transform is restarted further out, where the
-    amplitude is smaller, and the skipped stretch is re-integrated with
-    plain oscillation-resolving panels.
-    """
-    def amp_sin(u):
-        return np.sin(phase_free(u)) * amplitude(u)
-
-    def amp_cos(u):
-        return np.cos(phase_free(u)) * amplitude(u)
-
-    def full(u):
-        return np.sin(phase_free(u) - w * u) * amplitude(u)
-
-    start = upper
-    for _ in range(3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            c = integrate.quad(amp_sin, start, np.inf, weight="cos", wvar=w,
-                               epsabs=1e-10, limlst=150, limit=200,
-                               full_output=1)
-            s = integrate.quad(amp_cos, start, np.inf, weight="sin", wvar=w,
-                               epsabs=1e-10, limlst=150, limit=200,
-                               full_output=1)
-        val = c[0] - s[0]
-        err = c[1] + s[1]
-        if np.isfinite(err) and err <= 2e-8:
-            if start > upper:
-                cycle = 2.0 * np.pi / w
-                m = int(np.ceil((start - upper) / (25.0 * cycle)))
-                edges = np.linspace(upper, start, m + 1)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                    for a, b in zip(edges[:-1], edges[1:]):
-                        g, ge = integrate.quad(full, a, b, limit=300,
-                                               epsabs=_HEAD_EPSABS, epsrel=1e-10)
-                        val += g
-                        err += ge
-            return val, err
-        start *= 16.0
-    raise QuadratureFailure("oscillatory tail integration did not converge")
 
 
 def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:

@@ -67,7 +67,7 @@ class QuadratureFailure(MqrankError):
 
 
 class TooManyHypotheses(MqrankError):
-    """Closed testing over 2^K - 1 subsets is capped at K = 20."""
+    """Closed testing over 2^K - 1 subsets is capped at K = 15."""
 
 
 class SingularCovariance(MqrankError):

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, QuantileSpec, all_subsets
+from .datamodel import Dataset, QuantileSpec, all_subsets, validate_spec
 from .distributions import (WeightedChiSquareMixture, chisq_quantile,
                             chisq_upper, mixture_quantile)
-from .exceptions import MqrankError, SingularCovariance, TooManyHypotheses
-from .multiplicity import MAX_HYPOTHESES, bonferroni, holm
+from .exceptions import MqrankError, SingularCovariance
+from .multiplicity import bonferroni, check_hypothesis_count, holm
 from .qrsolver import fit
 from .rankscore import (WeightingMatrix, bridge_covariance,
                         estimate_sparsity, mixture_weights, score_state)
@@ -270,9 +270,11 @@ def run_monte_carlo(scenario: Scenario,
     ``methods`` picks the per-hypothesis procedures; subset-level
     rejection rates of the local rank-score tests (one table per
     weighting) and of the Wald test (when requested) are always included
-    for whatever is computed. Replications that raise are either recorded
-    and excluded (`on_error="record"`) or re-raised (`on_error="raise"`);
-    acceptance-grade runs must end with a zero error count.
+    for whatever is computed. An invalid level set raises ValidationError
+    before the first replication. Replications that raise are either
+    recorded and excluded (`on_error="record"`) or re-raised
+    (`on_error="raise"`); acceptance-grade runs must end with a zero error
+    count.
     """
     for m in methods:
         if m not in METHOD_NAMES:
@@ -280,15 +282,14 @@ def run_monte_carlo(scenario: Scenario,
     if on_error not in ("record", "raise"):
         raise ValueError("on_error must be 'record' or 'raise'")
     k = len(scenario.taus)
-    if k > MAX_HYPOTHESES:
-        raise TooManyHypotheses(f"K={k} exceeds the cap of {MAX_HYPOTHESES}")
+    check_hypothesis_count(k)
 
     weightings = tuple(
         WeightingMatrix.parse(w) if isinstance(w, str) else w for w in weightings)
     w_names = tuple(_weighting_name(w) for w in weightings)
     if len(set(w_names)) != len(w_names):
         raise ValueError(f"duplicate weighting names in {w_names}")
-    spec = QuantileSpec(scenario.taus, null_values)
+    spec = validate_spec(QuantileSpec(scenario.taus, null_values))
     taus = spec.taus
     subsets = all_subsets(k)
     n_subsets = len(subsets)

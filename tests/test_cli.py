@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from mqrank import simulation
 from mqrank.cli import main
+from mqrank.exceptions import MqrankError
 
 
 @pytest.fixture
@@ -185,6 +187,30 @@ def test_cmd_simulate_scenario_file(tmp_path):
     assert payload["replications_used"] == 5
     assert payload["error_count"] == 0
     assert "closed:identity" in payload["hypothesis_rejections"]
+
+
+def test_cmd_simulate_invalid_levels_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad_taus.scenario"
+    path.write_text("dgp = null_normal\nn = 60\ntaus = 0.5, 1.5\n"
+                    "replications = 5\nseed = 2\n")
+    code = run_cli("simulate", "--scenario", str(path),
+                   "--weightings", "inverse", "--format", "json")
+    assert code == 2
+    assert "QuantileOutOfRange" in capsys.readouterr().err
+
+
+def test_cmd_simulate_all_replications_failed_exit_3(monkeypatch, tmp_path,
+                                                      capsys):
+    def failing(dataset, spec):
+        raise MqrankError("synthetic failure")
+
+    monkeypatch.setattr(simulation, "score_state", failing)
+    out = tmp_path / "rep.json"
+    code = run_cli("simulate", "--scenario", "null_calibration",
+                   "--replications", "3", "--format", "json", "--out", str(out))
+    assert code == 3
+    assert "synthetic failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_simulate_unknown_dgp(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
+from scipy.stats import chi2, ncx2
 
 from mqrank import (WeightedChiSquareMixture, chisq_noncentral_upper,
                     chisq_upper, imhof_upper, mixture_quantile)
@@ -11,6 +14,10 @@ MC_NCX2_K2_Z8_AT_5991 = (0.7175106, 0.000142)
 MC_MIX_25_125_AT_05 = (0.2574601, 0.000138)
 MC_MIX_25_125_Q95 = (1.157131, 0.00057)
 MC_NCMIX_3Z3_15Z1_AT_2 = (0.2705645, 0.000141)
+
+# imhof_upper's quadrature budgets keep its p-value error below 1e-10, and
+# its deep-tail shortcut returns 0 only where the tail is below 1e-9
+RULE_TOL = 1e-9
 
 
 def test_chisq_upper_canonical_quantiles():
@@ -116,3 +123,67 @@ def test_mixture_moments():
     mix = WeightedChiSquareMixture(weights=(2.0, 0.5), noncentralities=(1.0, 3.0))
     assert mix.mean() == pytest.approx(2 * 2 + 0.5 * 4)
     assert mix.variance() == pytest.approx(4 * (2 + 4) + 0.25 * (2 + 12))
+
+
+def _pair_upper_by_convolution(l1, l2, x):
+    """P(l1 X1 + l2 X2 > x), X1, X2 iid chi-square(1), without Imhof.
+
+    Conditioning on X1 = t gives P(X1 > x/l1) plus the integral over
+    t < x/l1 of the chi-square(1) density times P(X2 > (x - l1 t)/l2);
+    t = (x/l1) sin^2(phi) removes the density's singularity at 0.
+    """
+    a = x / l1
+
+    def integrand(phi):
+        return (2.0 * np.sqrt(a / (2.0 * np.pi)) * np.cos(phi)
+                * np.exp(-0.5 * a * np.sin(phi) ** 2)
+                * chi2.sf(x * np.cos(phi) ** 2 / l2, 1))
+
+    body, _ = integrate.quad(integrand, 0.0, 0.5 * np.pi,
+                             epsabs=1e-13, epsrel=1e-13, limit=200)
+    return chi2.sf(a, 1) + body
+
+
+@pytest.mark.parametrize("l1, l2", [(1.0, 0.3), (0.2, 0.05), (5.0, 0.01),
+                                    (0.02, 20.0), (0.7, 0.69)])
+def test_imhof_pairs_match_convolution(l1, l2):
+    mix = WeightedChiSquareMixture(weights=(l1, l2))
+    top = 45.0 * max(l1, l2)   # past the 1e-9 deep tail
+    for x in np.geomspace(1e-3, top, 40):
+        assert imhof_upper(mix, x) == pytest.approx(
+            _pair_upper_by_convolution(l1, l2, x), abs=RULE_TOL)
+
+
+_weights = st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weights=_weights, x=st.floats(1e-3, 60.0), step=st.floats(1e-6, 5.0))
+def test_imhof_non_increasing_in_x(weights, x, step):
+    mix = WeightedChiSquareMixture(weights=tuple(weights))
+    scale = sum(weights)
+    assert imhof_upper(mix, (x + step) * scale) <= \
+        imhof_upper(mix, x * scale) + RULE_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 9), w=st.floats(1e-2, 1e2),
+       level=st.floats(-9.0, -1e-6))
+def test_imhof_equal_weights_match_chisq_property(k, w, level):
+    x = w * chi2.isf(10.0 ** level, k)
+    mix = WeightedChiSquareMixture(weights=(w,) * k)
+    assert imhof_upper(mix, x) == pytest.approx(chisq_upper(x / w, k),
+                                                 abs=RULE_TOL)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_imhof_noncentral_equal_weights_match_ncx2(k):
+    rng = np.random.default_rng(100 + k)
+    for w in (0.05, 1.0, 12.0):
+        zetas = rng.uniform(0.0, 6.0, size=k)
+        mix = WeightedChiSquareMixture(weights=(w,) * k,
+                                       noncentralities=tuple(zetas))
+        for level in (-9.0, -6.0, -3.0, -1.0, -0.1, -1e-4):
+            x = w * ncx2.isf(10.0 ** level, k, zetas.sum())
+            assert imhof_upper(mix, x) == pytest.approx(
+                ncx2.sf(x / w, k, zetas.sum()), abs=RULE_TOL)

@@ -5,7 +5,7 @@ from mqrank import (HypothesisSubset, QuantileSpec, Scenario,
                     TooManyHypotheses, WeightingMatrix, bonferroni,
                     closed_test, holm, run_monte_carlo, score_state)
 from mqrank.datamodel import all_subsets
-from mqrank.multiplicity import closure_adjust
+from mqrank.multiplicity import MAX_HYPOTHESES, closure_adjust
 from helpers import make_dataset, synthetic_state
 
 
@@ -97,4 +97,11 @@ def test_too_many_hypotheses_cap():
     taus = tuple(np.linspace(0.04, 0.96, 21))
     state = synthetic_state(taus, np.zeros(len(taus)))
     with pytest.raises(TooManyHypotheses):
+        closed_test(state, WeightingMatrix.identity())
+
+
+def test_too_many_hypotheses_just_above_cap():
+    k = MAX_HYPOTHESES + 1
+    state = synthetic_state(tuple(np.linspace(0.04, 0.96, k)), np.zeros(k))
+    with pytest.raises(TooManyHypotheses, match=str(2 ** k - 1)):
         closed_test(state, WeightingMatrix.identity())

@@ -28,6 +28,22 @@ def test_hall_sheather_formula():
     assert 0 < h < 0.05
 
 
+def test_hall_sheather_matches_scipy_stats_form_exactly():
+    def reference(n, tau, alpha=0.05):
+        z = norm.ppf(tau)
+        num = 1.5 * norm.pdf(z) ** 2
+        return float(n ** (-1.0 / 3.0) * norm.ppf(1.0 - alpha / 2.0) ** (2.0 / 3.0)
+                     * (num / (2.0 * z ** 2 + 1.0)) ** (1.0 / 3.0))
+
+    taus = np.concatenate([np.linspace(0.001, 0.999, 999),
+                           np.random.default_rng(11).random(500)])
+    for n in (20, 100, 1000):
+        for alpha in (0.01, 0.05):
+            for tau in taus:
+                assert hall_sheather_bandwidth(n, float(tau), alpha) == \
+                    reference(n, float(tau), alpha)
+
+
 def test_bandwidth_clipping_warns():
     with pytest.warns(RuntimeWarning):
         sp = estimate_sparsity(np.ones((20, 1)),
