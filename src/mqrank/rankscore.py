@@ -19,6 +19,15 @@ scale cancels in the projection, so only relative weights matter. Because
 the estimated weights differ across levels in finite samples, one
 projection is computed per level and the covariance scalar averages the
 per-level mean squares.
+
+Every subset's null law is v_bar times a mixture that depends only on the
+levels and the weighting, so :class:`SubsetPlan` works it out once per
+call at unit scale: positions, weighting sub-matrix B_c and mixture
+weights for all 2^K - 1 subsets. The closure's p-values, the Monte Carlo
+engine's critical values and the analytic power are all read off that
+plan: statistics as s_c' B_c s_c / v_bar, alternative means as
+g / sqrt(v_bar). The inverse weighting is B_c = inv(bridge_c), whose
+equal mixture weights select the chi-square closed form.
 """
 
 from __future__ import annotations
@@ -325,23 +334,20 @@ class WeightingMatrix:
             raise ValueError(f"unknown density weighting {text!r}")
         raise ValueError(f"unknown weighting {text!r}")
 
-    def materialize(self, taus, v_bar: float, subset: HypothesisSubset) -> np.ndarray:
-        """Weighting matrix for one subset of hypotheses.
+    def materialize(self, taus, subset: HypothesisSubset) -> np.ndarray:
+        """Unit-scale weighting matrix B_c for one subset of hypotheses.
 
-        The "inverse" kind inverts the subset's own score covariance, so
-        its generalized statistic reduces exactly to the chi-square one;
-        every other kind restricts a fixed K x K specification to the
-        subset's principal sub-matrix.
+        The "inverse" kind is inv(bridge_c), the inverse of the subset's
+        score covariance at v_bar = 1, so its mixture weights are all one
+        and its statistic is chi-square; every other kind restricts a
+        fixed K x K specification to the subset's principal sub-matrix.
         """
         pos = subset.positions()
         taus = tuple(taus)
         if self.kind == "identity":
             b = np.eye(len(pos))
         elif self.kind == "inverse":
-            delta_c = bridge_covariance(taus)[np.ix_(pos, pos)]
-            if v_bar <= 1e-12:
-                raise SingularProjection("projection scale is zero; cannot invert")
-            b = np.linalg.inv(v_bar * delta_c)
+            b = np.linalg.inv(bridge_covariance(taus)[np.ix_(pos, pos)])
             b = 0.5 * (b + b.T)
         elif self.kind == "diag-delta":
             t = np.asarray(taus)[pos]
@@ -422,36 +428,52 @@ def mixture_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _unit_reference(taus, bridge: np.ndarray, weighting: WeightingMatrix,
+                    subset: HypothesisSubset):
+    """Positions, unit-scale weighting B_c and mixture weights of one subset."""
+    pos = subset.positions()
+    b_c = weighting.materialize(taus, subset)
+    return pos, b_c, mixture_weights(bridge[np.ix_(pos, pos)], b_c)
+
+
+def _equal_weights(lam: np.ndarray) -> bool:
+    return lam[-1] - lam[0] <= _EQUAL_WEIGHT_RTOL * lam[-1]
+
+
+def _upper_tail(lam: np.ndarray, q: float, zetas: np.ndarray = None) -> float:
+    """P(sum_i lam_i chi2_1(zeta_i) > q), central when zetas is None; equal
+    weights use the exact scaled chi-square in place of numerical inversion."""
+    if _equal_weights(lam):
+        zeta = 0.0 if zetas is None else float(zetas.sum())
+        return chisq_noncentral_upper(q / float(lam.mean()), lam.size, zeta)
+    return imhof_upper(WeightedChiSquareMixture(
+        weights=tuple(lam), noncentralities=zetas), q)
+
+
 def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
                           weighting: WeightingMatrix) -> TestOutcome:
     """Weighted score quadratic form with a weighted chi-square reference.
 
-    Equal mixture weights (in particular the inverse-covariance weighting)
-    reduce exactly to a scaled chi-square, in which case the closed form
-    replaces the numerical inversion.
+    The p-value is the unit-scale tail that SubsetPlan evaluates. The
+    statistic and reference weights are reported on the score's scale:
+    v_bar times the unit-scale ones, except for the inverse weighting,
+    inv(v_bar * bridge_c), whose statistic is the chi-square one.
     """
     _check_subset(state, subset)
-    pos = subset.positions()
     if state.v_bar <= 1e-12:
         raise SingularProjection(
             "target covariate lies in the span of the nuisance design")
-    b_c = weighting.materialize(state.taus, state.v_bar, subset)
+    pos, b_c, lam = _unit_reference(state.taus, state.bridge, weighting, subset)
     s_c = state.score[pos]
-    stat = max(float(s_c @ b_c @ s_c), 0.0)
-    a_c = state.covariance(subset)
-    lam = mixture_weights(a_c, b_c)
-    k = subset.size
-
-    if lam[-1] - lam[0] <= _EQUAL_WEIGHT_RTOL * lam[-1]:
-        c = float(lam.mean())
-        reference = (ChiSquareRef(df=k) if abs(c - 1.0) <= _EQUAL_WEIGHT_RTOL
-                     else WeightedChiSquareRef(weights=tuple(lam)))
-        p = chisq_upper(stat / c, k)
+    q = max(float(s_c @ b_c @ s_c), 0.0) / state.v_bar
+    scale = 1.0 if weighting.kind == "inverse" else state.v_bar
+    weights = scale * lam
+    if _equal_weights(weights) and abs(weights.mean() - 1.0) <= _EQUAL_WEIGHT_RTOL:
+        reference = ChiSquareRef(df=subset.size)
     else:
-        reference = WeightedChiSquareRef(weights=tuple(lam))
-        p = imhof_upper(WeightedChiSquareMixture(weights=tuple(lam)), stat)
-    return TestOutcome(statistic=stat, reference=reference, p_value=p,
-                       subset=subset)
+        reference = WeightedChiSquareRef(weights=tuple(weights))
+    return TestOutcome(statistic=scale * q, reference=reference,
+                       p_value=_upper_tail(lam, q), subset=subset)
 
 
 # --- analytic power ingredients ---------------------------------------------
@@ -489,19 +511,70 @@ def noncentrality_generalized(g: np.ndarray, a: np.ndarray,
     return lam, zetas
 
 
+class SubsetPlan:
+    """Every subset's local test at unit scale (see the module docstring):
+    positions, B_c and mixture weights lam_c, in :func:`all_subsets` order."""
+
+    def __init__(self, taus, weighting: WeightingMatrix):
+        self.subsets = all_subsets(len(taus))
+        self.bridge = bridge_covariance(taus)
+        terms = [_unit_reference(taus, self.bridge, weighting, s)
+                 for s in self.subsets]
+        self.positions, self.matrices, self.weights = map(list, zip(*terms))
+
+    def statistics(self, score: np.ndarray, v_bar: float) -> np.ndarray:
+        """Unit-scale statistic s_c' B_c s_c / v_bar of every subset."""
+        if v_bar <= 1e-12:
+            raise SingularProjection(
+                "target covariate lies in the span of the nuisance design")
+        return np.array([max(float(score[pos] @ b_c @ score[pos]), 0.0) / v_bar
+                         for pos, b_c in zip(self.positions, self.matrices)])
+
+    def p_values(self, score: np.ndarray, v_bar: float) -> list:
+        """Null tail probability of every subset's statistic."""
+        return [_upper_tail(lam, q) for lam, q
+                in zip(self.weights, self.statistics(score, v_bar))]
+
+    def critical_values(self, alpha: float) -> np.ndarray:
+        """Unit-scale level-alpha critical value of every subset; subsets with
+        the same mixture weights (mirror images) share one quantile."""
+        by_weights = {}
+        out = np.empty(len(self.subsets))
+        for i, lam in enumerate(self.weights):
+            key = tuple(np.round(lam, 14))
+            if key not in by_weights:
+                if _equal_weights(lam):
+                    by_weights[key] = float(lam.mean()) * chisq_quantile(
+                        alpha, lam.size)
+                else:
+                    by_weights[key] = mixture_quantile(
+                        WeightedChiSquareMixture(weights=tuple(lam)), alpha)
+            out[i] = by_weights[key]
+        return out
+
+    def power(self, g: np.ndarray, v_bar: float, alpha: float) -> list:
+        """Rejection probability of every subset test when the score has
+        mean g and covariance v_bar * bridge."""
+        g_unit = np.asarray(g, dtype=float) / np.sqrt(v_bar)
+        out = []
+        for pos, b_c, crit in zip(self.positions, self.matrices,
+                                  self.critical_values(alpha)):
+            lam, zetas = noncentrality_generalized(
+                g_unit[pos], self.bridge[np.ix_(pos, pos)], b_c)
+            out.append(_upper_tail(lam, crit, zetas))
+        return out
+
+
 def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
                    alpha: float = 0.05) -> dict:
     """Asymptotic power of every subset test under a local alternative.
 
     ``g`` is the limiting mean of the score vector; the covariance is
-    ``v_bar`` times the bridge covariance of the levels. Inverse-covariance
-    weighting gives noncentral chi-square power in closed form; any other
-    weighting compares the noncentral mixture against the null mixture's
-    critical value. Equal mixture weights again use the exact scaled
-    chi-square form, so the inverse weighting and the explicit standard
-    path agree to floating-point precision.
+    ``v_bar`` times the bridge covariance of the levels. Each subset's
+    noncentral mixture is compared against its null mixture's critical
+    value (:meth:`SubsetPlan.power`); equal mixture weights, the inverse
+    weighting among them, use the noncentral chi-square in closed form.
     """
-    taus = tuple(float(t) for t in taus)
     k = len(taus)
     g = np.asarray(g, dtype=float)
     if g.shape != (k,):
@@ -511,30 +584,5 @@ def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
         raise ValueError("alpha must be in (0, 1)")
     if v_bar <= 0.0:
         raise SingularProjection("score covariance scale must be positive")
-    bridge = bridge_covariance(taus)
-
-    out = {}
-    for subset in all_subsets(k):
-        pos = subset.positions()
-        size = subset.size
-        a_c = v_bar * bridge[np.ix_(pos, pos)]
-        g_c = g[pos]
-        if weighting.kind == "inverse":
-            zeta = noncentrality_standard(g_c, a_c)
-            crit = chisq_quantile(alpha, size)
-            power = chisq_noncentral_upper(crit, size, zeta)
-        else:
-            b_c = weighting.materialize(taus, v_bar, subset)
-            lam, zetas = noncentrality_generalized(g_c, a_c, b_c)
-            if lam[-1] - lam[0] <= _EQUAL_WEIGHT_RTOL * lam[-1]:
-                c = float(lam.mean())
-                power = chisq_noncentral_upper(
-                    chisq_quantile(alpha, size), size, float(zetas.sum()))
-            else:
-                null_mix = WeightedChiSquareMixture(weights=tuple(lam))
-                crit = mixture_quantile(null_mix, alpha)
-                alt_mix = WeightedChiSquareMixture(
-                    weights=tuple(lam), noncentralities=tuple(zetas))
-                power = imhof_upper(alt_mix, crit)
-        out[subset] = float(power)
-    return out
+    plan = SubsetPlan(taus, weighting)
+    return dict(zip(plan.subsets, plan.power(g, v_bar, alpha)))

@@ -3,10 +3,11 @@
 Replications are keyed by a counter-based generator (Philox) seeded with
 (seed, replication_index), so a run is a pure function of its scenario no
 matter how replications are scheduled. Rejection decisions inside the
-engine avoid per-replication numerical inversion: under the null the
-generalized statistic's mixture weights scale linearly in the projection
-mean square, so each subset's critical value is cached once for unit
-scale and rescaled per replication.
+engine avoid per-replication numerical inversion: each weighting's
+:class:`~mqrank.rankscore.SubsetPlan` gives every subset's unit-scale
+critical value once per run, and a replication rejects a subset when its
+unit-scale statistic s_c' B_c s_c / v_bar reaches that value. Failed
+replications are counted by exception class.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, QuantileSpec, all_subsets, validate_spec
-from .distributions import (WeightedChiSquareMixture, chisq_quantile,
-                            chisq_upper, mixture_quantile)
+from .distributions import chisq_upper
 from .exceptions import MqrankError, SingularCovariance
-from .multiplicity import bonferroni, check_hypothesis_count, holm
+from .multiplicity import bonferroni, holm
 from .qrsolver import fit
-from .rankscore import (WeightingMatrix, bridge_covariance,
-                        estimate_sparsity, mixture_weights, score_state)
+from .rankscore import (SubsetPlan, WeightingMatrix, bridge_covariance,
+                        estimate_sparsity, score_state)
 
 DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
@@ -31,11 +31,6 @@ METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
 # shape parameter of the skew-normal error and its centering shift
 _SKEW_SHAPE = 2.2
 _SKEW_SHIFT = -1.453
-
-# caches mixture critical values across runs; keyed by
-# (rounded unit-scale weights, alpha) so scenarios sharing quantile sets
-# and weightings pay the quadrature cost once per process
-_CRITICAL_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -176,6 +171,7 @@ class MonteCarloReport:
     replications_used: int
     error_count: int
     error_messages: list
+    error_classes: dict
     hypothesis_rejections: dict
     familywise: dict
     subset_rejections: dict
@@ -193,6 +189,7 @@ class MonteCarloReport:
             "replications_used": self.replications_used,
             "error_count": self.error_count,
             "error_messages": list(self.error_messages),
+            "error_classes": dict(self.error_classes),
             "hypothesis_rejections": {
                 name: [float(v) for v in freq]
                 for name, freq in self.hypothesis_rejections.items()},
@@ -229,31 +226,6 @@ def _weighting_name(w: WeightingMatrix) -> str:
     return w.kind
 
 
-def _subset_critical_scales(taus, subsets, weighting: WeightingMatrix,
-                            alpha: float):
-    """Unit-scale critical value per subset: reject when the statistic
-    exceeds v_bar times this number. None marks the inverse weighting,
-    whose statistic is chi-square with the subset's dimension."""
-    if weighting.kind == "inverse":
-        return None
-    bridge = bridge_covariance(taus)
-    crits = np.empty(len(subsets))
-    for i, subset in enumerate(subsets):
-        pos = subset.positions()
-        b_c = weighting.materialize(taus, 1.0, subset)
-        lam = mixture_weights(bridge[np.ix_(pos, pos)], b_c)
-        key = (tuple(np.round(lam, 14)), round(alpha, 12))
-        if key not in _CRITICAL_CACHE:
-            if lam[-1] - lam[0] <= 1e-9 * lam[-1]:
-                _CRITICAL_CACHE[key] = float(lam.mean()) * chisq_quantile(
-                    alpha, subset.size)
-            else:
-                mix = WeightedChiSquareMixture(weights=tuple(lam))
-                _CRITICAL_CACHE[key] = mixture_quantile(mix, alpha)
-        crits[i] = _CRITICAL_CACHE[key]
-    return crits
-
-
 def _closed_decisions(local_reject: np.ndarray, containing: list) -> np.ndarray:
     """Hypothesis j is rejected when every subset containing it is."""
     return np.array([bool(np.all(local_reject[idx])) for idx in containing])
@@ -282,7 +254,6 @@ def run_monte_carlo(scenario: Scenario,
     if on_error not in ("record", "raise"):
         raise ValueError("on_error must be 'record' or 'raise'")
     k = len(scenario.taus)
-    check_hypothesis_count(k)
 
     weightings = tuple(
         WeightingMatrix.parse(w) if isinstance(w, str) else w for w in weightings)
@@ -293,25 +264,14 @@ def run_monte_carlo(scenario: Scenario,
     taus = spec.taus
     subsets = all_subsets(k)
     n_subsets = len(subsets)
-    positions = [s.positions() for s in subsets]
     containing = [np.array([i for i, s in enumerate(subsets) if s.contains(j + 1)])
                   for j in range(k)]
-    bridge = bridge_covariance(taus)
-    bridge_inv = [np.linalg.inv(bridge[np.ix_(p, p)]) for p in positions]
-    chi_crit = {size: chisq_quantile(alpha, size) for size in range(1, k + 1)}
     tau_var = np.array([t * (1.0 - t) for t in taus])
 
     want_closed = "closed" in methods
     want_wald = "wald" in methods
-    b_mats = []
-    crit_scales = []
-    for w in weightings:
-        if w.kind == "inverse":
-            b_mats.append(None)
-            crit_scales.append(None)
-        else:
-            b_mats.append([w.materialize(taus, 1.0, s) for s in subsets])
-            crit_scales.append(_subset_critical_scales(taus, subsets, w, alpha))
+    plans = [SubsetPlan(taus, w) for w in weightings]
+    crits = [plan.critical_values(alpha) for plan in plans]
 
     hyp_counts = {}
     fw_counts = {}
@@ -334,6 +294,7 @@ def run_monte_carlo(scenario: Scenario,
     used = 0
     error_count = 0
     error_messages = []
+    error_classes = {}
     for rep in range(scenario.replications):
         try:
             dataset = generate(scenario, rep)
@@ -345,19 +306,8 @@ def run_monte_carlo(scenario: Scenario,
                 chisq_upper(score[j] ** 2 / (v_bar * tau_var[j]), 1)
                 for j in range(k)])
 
-            for w_idx, name in enumerate(w_names):
-                local_reject = np.empty(n_subsets, dtype=bool)
-                if b_mats[w_idx] is None:
-                    for i, pos in enumerate(positions):
-                        s_c = score[pos]
-                        stat = s_c @ bridge_inv[i] @ s_c / v_bar
-                        local_reject[i] = stat >= chi_crit[len(pos)]
-                else:
-                    crits = crit_scales[w_idx]
-                    mats = b_mats[w_idx]
-                    for i, pos in enumerate(positions):
-                        s_c = score[pos]
-                        local_reject[i] = s_c @ mats[i] @ s_c >= v_bar * crits[i]
+            for plan, crit, name in zip(plans, crits, w_names):
+                local_reject = plan.statistics(score, v_bar) >= crit
                 subset_counts[f"rankscore:{name}"] += local_reject
                 if want_closed:
                     decisions = _closed_decisions(local_reject, containing)
@@ -388,6 +338,8 @@ def run_monte_carlo(scenario: Scenario,
             if on_error == "raise":
                 raise
             error_count += 1
+            cls = type(exc).__name__
+            error_classes[cls] = error_classes.get(cls, 0) + 1
             if len(error_messages) < 8:
                 error_messages.append(f"replication {rep}: {exc}")
             continue
@@ -405,6 +357,7 @@ def run_monte_carlo(scenario: Scenario,
                             weightings=w_names, replications_used=used,
                             error_count=error_count,
                             error_messages=error_messages,
+                            error_classes=error_classes,
                             hypothesis_rejections=hypothesis_rejections,
                             familywise=familywise,
                             subset_rejections=subset_rejections)

@@ -245,6 +245,14 @@ def test_cmd_power_inverse_matches_identity_path_when_equivalent(capsys):
     assert joint["power"] == pytest.approx(0.7174789, abs=3 * 0.000142)
 
 
+def test_cmd_power_too_many_levels_exit_3(capsys):
+    taus = ",".join(f"{t:.4f}" for t in np.linspace(0.04, 0.96, 16))
+    g = ",".join(["0.1"] * 16)
+    assert run_cli("power", "--taus", taus, "--g", g,
+                   "--weighting", "inverse") == 3
+    assert "65535 subsets" in capsys.readouterr().err
+
+
 def test_cmd_power_dimension_mismatch(capsys):
     assert run_cli("power", "--taus", "0.25,0.75", "--g", "1,2,3") == 2
 

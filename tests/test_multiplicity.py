@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mqrank import (HypothesisSubset, QuantileSpec, Scenario,
-                    TooManyHypotheses, WeightingMatrix, bonferroni,
-                    closed_test, holm, run_monte_carlo, score_state)
-from mqrank.datamodel import all_subsets
-from mqrank.multiplicity import MAX_HYPOTHESES, closure_adjust
+                    TooManyHypotheses, WeightingMatrix, analytic_power,
+                    bonferroni, closed_test, holm, run_monte_carlo,
+                    score_state)
+from mqrank.datamodel import MAX_HYPOTHESES, all_subsets
+from mqrank.multiplicity import closure_adjust
 from helpers import make_dataset, synthetic_state
 
 
@@ -102,6 +103,9 @@ def test_too_many_hypotheses_cap():
 
 def test_too_many_hypotheses_just_above_cap():
     k = MAX_HYPOTHESES + 1
-    state = synthetic_state(tuple(np.linspace(0.04, 0.96, k)), np.zeros(k))
+    taus = tuple(np.linspace(0.04, 0.96, k))
+    state = synthetic_state(taus, np.zeros(k))
     with pytest.raises(TooManyHypotheses, match=str(2 ** k - 1)):
         closed_test(state, WeightingMatrix.identity())
+    with pytest.raises(TooManyHypotheses, match=str(2 ** k - 1)):
+        analytic_power(taus, np.zeros(k), 1.0, WeightingMatrix.inverse())

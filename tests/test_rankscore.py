@@ -8,6 +8,8 @@ from mqrank import (Dataset, HypothesisSubset, QuantileSpec,
                     fit, noncentrality_generalized, noncentrality_standard,
                     rank_score_function, score_state, statistic_generalized,
                     statistic_standard, weighted_projection)
+from mqrank.distributions import (WeightedChiSquareMixture, imhof_upper,
+                                  mixture_quantile)
 from mqrank.rankscore import bandwidth, hall_sheather_bandwidth
 from helpers import intercept_only_duals, make_dataset, synthetic_state
 
@@ -255,6 +257,46 @@ def test_generalized_identity_weights_are_bridge_eigenvalues():
     assert out.statistic == pytest.approx(0.1 ** 2 + 0.2 ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("v_bar", [0.3, 3.0])
+def test_generalized_pvalues_scale_with_v_bar(v_bar):
+    # oracle: the raw statistic against v_bar times the bridge eigenvalues
+    taus = (0.1, 0.4, 0.6, 0.9)
+    score = np.sqrt(v_bar) * np.array([0.3, -0.5, 0.4, 0.6])
+    state = synthetic_state(taus, score, v_bar=v_bar)
+    bridge = bridge_covariance(taus)
+    for w in (WeightingMatrix.identity(), WeightingMatrix.inverse_diag_delta()):
+        for indices in [(1, 2), (2, 4), (1, 3, 4), (1, 2, 3, 4)]:
+            sub = HypothesisSubset(indices)
+            pos = sub.positions()
+            b = w.materialize(taus, sub)
+            chol = np.linalg.cholesky(bridge[np.ix_(pos, pos)])
+            weights = v_bar * np.linalg.eigvalsh(chol.T @ b @ chol)
+            raw = float(score[pos] @ b @ score[pos])
+            oracle = imhof_upper(WeightedChiSquareMixture(tuple(weights)), raw)
+            out = statistic_generalized(state, sub, w)
+            assert out.statistic == pytest.approx(raw, rel=1e-12)
+            assert abs(out.p_value - oracle) <= 1e-9
+
+
+def test_analytic_power_scales_with_v_bar():
+    # oracle: score ~ N(g, vn * bridge); with chol the Cholesky factor of
+    # that covariance, chol' chol = U diag(lam) U' and zeta = (U' chol^-1 g)^2
+    taus = (0.1, 0.25, 0.5, 0.75, 0.9)
+    g = np.array([0.9, 0.6, 0.3, 0.0, -0.3])
+    vn = 0.8
+    table = analytic_power(taus, g, vn, WeightingMatrix.identity(), 0.05)
+    bridge = bridge_covariance(taus)
+    for sub, power in table.items():
+        pos = sub.positions()
+        chol = np.linalg.cholesky(vn * bridge[np.ix_(pos, pos)])
+        lam, vecs = np.linalg.eigh(chol.T @ chol)
+        zetas = (vecs.T @ np.linalg.solve(chol, g[pos])) ** 2
+        crit = mixture_quantile(WeightedChiSquareMixture(tuple(lam)), 0.05)
+        oracle = imhof_upper(WeightedChiSquareMixture(tuple(lam), tuple(zetas)),
+                             crit)
+        assert abs(power - oracle) <= 1e-9
+
+
 def test_statistics_nonnegative_and_subset_consistent():
     rng = np.random.default_rng(37)
     ds = make_dataset(rng, n=70, beta=0.3)
@@ -398,22 +440,22 @@ def test_weighting_parse_round_trip():
 def test_weighting_materialization():
     taus = (0.25, 0.5, 0.75)
     sub = HypothesisSubset((1, 3))
-    ident = WeightingMatrix.identity().materialize(taus, 1.0, sub)
+    ident = WeightingMatrix.identity().materialize(taus, sub)
     assert np.array_equal(ident, np.eye(2))
-    diag = WeightingMatrix.inverse_diag_delta().materialize(taus, 1.0, sub)
+    diag = WeightingMatrix.inverse_diag_delta().materialize(taus, sub)
     assert np.allclose(np.diag(diag), [1 / 0.1875, 1 / 0.1875])
-    dens = WeightingMatrix.density_reciprocal("normal").materialize(taus, 1.0, sub)
+    dens = WeightingMatrix.density_reciprocal("normal").materialize(taus, sub)
     f25 = norm.pdf(norm.ppf(0.25))
     assert dens[0, 0] == pytest.approx(1 / f25 ** 2)
-    inv = WeightingMatrix.inverse().materialize(taus, 2.0, sub)
-    expected = np.linalg.inv(2.0 * bridge_covariance(taus)[np.ix_([0, 2], [0, 2])])
+    inv = WeightingMatrix.inverse().materialize(taus, sub)
+    expected = np.linalg.inv(bridge_covariance(taus)[np.ix_([0, 2], [0, 2])])
     assert np.allclose(inv, expected)
 
 
 def test_custom_weighting_validation_and_subsetting():
     mat = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
     w = WeightingMatrix.custom(mat)
-    sub = w.materialize((0.2, 0.5, 0.8), 1.0, HypothesisSubset((1, 3)))
+    sub = w.materialize((0.2, 0.5, 0.8), HypothesisSubset((1, 3)))
     assert np.allclose(sub, mat[np.ix_([0, 2], [0, 2])])
     with pytest.raises(NotPositiveDefinite):
         WeightingMatrix.custom(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -4,7 +4,8 @@ from scipy.stats import kstest, skew
 
 import mqrank.simulation as sim
 from mqrank import (HypothesisSubset, MqrankError, QuantileSpec, Scenario,
-                    generate, run_monte_carlo, wald_test)
+                    WeightingMatrix, closed_test, generate, run_monte_carlo,
+                    score_state, wald_test)
 from mqrank.simulation import (load_scenario, parse_scenario_text,
                                target_coefficients)
 
@@ -217,6 +218,8 @@ def test_run_monte_carlo_records_errors(monkeypatch):
     assert rep.error_count == 3
     assert rep.replications_used == 7
     assert any("synthetic failure" in m for m in rep.error_messages)
+    assert rep.error_classes == {"MqrankError": 3}
+    assert rep.to_dict()["error_classes"] == {"MqrankError": 3}
 
     calls["i"] = 0
     with pytest.raises(MqrankError):
@@ -229,29 +232,39 @@ def test_run_monte_carlo_rejects_unknown_method():
         run_monte_carlo(sc, methods=("fisher",))
 
 
-def test_engine_decisions_match_closed_test():
-    # the engine thresholds statistics against cached critical values; the
-    # user-facing path compares inversion p-values against alpha — the
-    # decisions must coincide replication by replication
-    from mqrank import WeightingMatrix, closed_test, score_state
-
+@pytest.mark.parametrize("weighting", [
+    WeightingMatrix.identity(), WeightingMatrix.inverse(),
+    WeightingMatrix.inverse_diag_delta(),
+    WeightingMatrix.density_reciprocal("normal"),
+    WeightingMatrix.custom([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]),
+], ids=["identity", "inverse", "diag-delta", "density-normal", "custom"])
+def test_engine_decisions_match_closed_test(weighting):
+    # the engine thresholds unit-scale statistics against critical values;
+    # the user-facing path compares inversion p-values against alpha — the
+    # decisions must coincide replication by replication and subset by subset
     sc = Scenario(dgp="hetero_normal", beta=0.6, n=100,
                   taus=(0.1, 0.5, 0.9), replications=20, seed=52)
     rep = run_monte_carlo(sc, methods=("closed", "raw"),
-                          weightings=("identity",), on_error="raise")
+                          weightings=(weighting,), on_error="raise")
+    name = rep.weightings[0]
     spec = QuantileSpec(sc.taus)
     counts = np.zeros(3)
+    subset_counts = {}
     for r in range(sc.replications):
         ds = generate(sc, r)
         state = score_state(ds, spec)
-        direct = closed_test(state, WeightingMatrix.identity(), alpha=0.05)
+        direct = closed_test(state, weighting, alpha=0.05)
         counts += direct.rejected
+        for sub, p in direct.local_p.items():
+            subset_counts[sub] = subset_counts.get(sub, 0) + (p <= 0.05)
     assert np.allclose(counts / sc.replications,
-                       rep.hypothesis_rejections["closed:identity"])
+                       rep.hypothesis_rejections[f"closed:{name}"])
+    assert rep.subset_rejections[f"rankscore:{name}"] == {
+        sub: c / sc.replications for sub, c in subset_counts.items()}
     # singleton local tests are the raw per-level tests
     for j in range(3):
         single = HypothesisSubset((j + 1,))
-        assert rep.subset_rejections["rankscore:identity"][single] == \
+        assert rep.subset_rejections[f"rankscore:{name}"][single] == \
             rep.hypothesis_rejections["raw"][j]
 
 
