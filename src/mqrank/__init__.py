@@ -18,7 +18,7 @@ from .exceptions import (BandwidthInfeasible, Degenerate, MqrankError,
                          SingularA, SingularCovariance, SingularProjection,
                          TooManyHypotheses, ValidationError)
 from .multiplicity import ClosureReport, bonferroni, closed_test, holm
-from .qrsolver import QuantileFit, fit, rank_score_function
+from .qrsolver import QuantileFit, fit, fit_levels, rank_score_function
 from .rankscore import (RankScoreState, SparsityEstimates, TestOutcome,
                         WeightingMatrix, analytic_power, bridge_covariance,
                         estimate_sparsity, noncentrality_generalized,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "QuantileSpec", "HypothesisSubset", "all_subsets", "validate",
-    "QuantileFit", "fit", "rank_score_function",
+    "QuantileFit", "fit", "fit_levels", "rank_score_function",
     "RankScoreState", "SparsityEstimates", "TestOutcome", "WeightingMatrix",
     "score_state", "statistic_standard", "statistic_generalized",
     "estimate_sparsity", "weighted_projection", "bridge_covariance",

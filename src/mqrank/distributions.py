@@ -1,6 +1,8 @@
 """Reference-distribution numerics for the test statistics.
 
-Central and noncentral chi-square tails come from scipy. Tail
+Central chi-square tails and quantiles are scipy.special's closed forms
+(chdtrc, chdtri; chi2.sf and chi2.isf call the same functions behind
+their argument handling), and noncentral tails come from scipy.stats. Tail
 probabilities of positively weighted sums of independent (noncentral)
 chi-square variables are computed by numerical inversion of the
 characteristic function (Imhof's method):
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtrc, chdtri
+from scipy.stats import ncx2
 
 from .exceptions import QuadratureFailure
 
@@ -130,12 +133,12 @@ def chisq_upper(x: float, k: int) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if x <= 0.0:
         return 1.0
-    return float(chi2.sf(x, k))
+    return float(chdtrc(k, x))
 
 
 def chisq_quantile(alpha: float, k: int) -> float:
     """x with chisq_upper(x, k) = alpha."""
-    return float(chi2.isf(alpha, k))
+    return float(chdtri(k, alpha))
 
 
 def chisq_noncentral_upper(x: float, k: int, zeta: float) -> float:

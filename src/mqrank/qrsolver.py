@@ -14,6 +14,22 @@ exact-fit solution of that p-by-p system. Strong duality ties the two
 solutions together:
 
     sum_i rho_tau(y_i - z_i' gamma) = a' y - (1 - tau) * sum_i y_i.
+
+A rank-score test needs many such programs on one design: every level,
+and the levels tau +/- h of its density estimate. They share no variable,
+so :func:`fit_levels` stacks them into one LP whose constraint matrix is
+block-diagonal in Z' (built directly in CSC form), solves it with one
+``linprog`` call, and splits the solution and multipliers back by block;
+each block is polished as above. Most of a small solve's cost is
+``linprog``'s per-call input handling, not the simplex itself, so one call
+per batch costs a fraction of one call per level. A vertex of the stacked
+polytope is a vertex of every block, and on continuous data each block's
+optimal vertex is unique, so the results equal the one-level solves. With
+tied responses a block may have several optimal vertices and the stacked
+solve may pick a different, equally optimal one. A call stacks at most
+_MAX_COLUMNS observations; longer batches are split into several calls,
+which bounds the solver's working memory. :func:`fit` is the one-level
+batch.
 """
 
 from __future__ import annotations
@@ -22,11 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_matrix
 
 from .exceptions import Degenerate, NotConverged
 
 # entries of a within this distance of 0/1 are treated as at their bound
 _BOUND_TOL = 1e-8
+
+# stacked observations (LP columns) per linprog call; HiGHS holds about
+# 0.8 kB per column, so one call stays near 1.6 MB
+_MAX_COLUMNS = 2048
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -59,7 +80,8 @@ def quantile_loss(residuals: np.ndarray, tau: float) -> float:
 
 
 def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
-    """Fit the tau-th quantile regression of y on Z.
+    """Fit the tau-th quantile regression of y on Z: the one-level case of
+    :func:`fit_levels`.
 
     Parameters
     ----------
@@ -75,30 +97,94 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
     NotConverged
         If the solver stops on its iteration cap.
     """
+    return fit_levels(Z, [y], [tau])[0]
+
+
+def fit_levels(Z: np.ndarray, ys, taus) -> list:
+    """Fit the taus[i]-th quantile regression of ys[i] on Z, for every i.
+
+    The dual programs are solved as one block-diagonal LP per chunk of at
+    most _MAX_COLUMNS stacked observations (see the module docstring).
+    Levels, n > p and the rank of Z are checked once, before any solve.
+    Returns one :class:`QuantileFit` per level, in the order given.
+
+    Raises
+    ------
+    ValueError
+        If any level lies outside (0, 1) or ys and taus disagree in shape.
+    Degenerate
+        If n <= p, rank(Z) < p or a stacked solve fails structurally.
+    NotConverged
+        If a stacked solve stops on its iteration cap.
+    """
     Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    taus = [float(t) for t in taus]
     n, p = Z.shape
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {tau}")
+    if ys.shape != (len(taus), n):
+        raise ValueError(f"need one length-{n} response per level, got "
+                         f"shape {ys.shape} for {len(taus)} levels")
     if n <= p:
         raise Degenerate(f"need n > p, got n={n}, p={p}")
     if np.linalg.matrix_rank(Z) < p:
         raise Degenerate("design matrix is rank deficient")
 
-    rhs = (1.0 - tau) * Z.sum(axis=0)
-    res = linprog(c=-y, A_eq=Z.T, b_eq=rhs, bounds=(0.0, 1.0),
+    col_sum = Z.sum(axis=0)
+    per_call = max(1, _MAX_COLUMNS // n)
+    fits = []
+    for lo in range(0, len(taus), per_call):
+        chunk = slice(lo, lo + per_call)
+        fits += _solve_stacked(Z, ys[chunk], taus[chunk], col_sum)
+    return fits
+
+
+def _block_diagonal(Z: np.ndarray, blocks: int) -> csc_matrix:
+    """CSC form of the block-diagonal matrix with `blocks` copies of Z'.
+
+    Column b*n + i holds the nonzero entries of row i of Z in constraint
+    rows b*p .. b*p + p - 1, the layout a dense Z' converts to.
+    """
+    n, p = Z.shape
+    nonzero = Z != 0.0
+    rows = np.nonzero(nonzero)[1]
+    data = np.tile(Z[nonzero], blocks)
+    indices = np.tile(rows, blocks) + np.repeat(p * np.arange(blocks), rows.size)
+    indptr = np.concatenate(([0], np.cumsum(np.tile(nonzero.sum(axis=1), blocks))))
+    return csc_matrix((data, indices, indptr), shape=(blocks * p, blocks * n))
+
+
+def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
+                   col_sum: np.ndarray) -> list:
+    """One linprog call for the independent dual programs of one chunk."""
+    n, p = Z.shape
+    blocks = len(taus)
+    rhs = [(1.0 - tau) * col_sum for tau in taus]
+    res = linprog(c=-ys.ravel(), A_eq=_block_diagonal(Z, blocks),
+                  b_eq=np.concatenate(rhs), bounds=(0.0, 1.0),
                   method="highs-ds", options=_HIGHS_OPTIONS)
     if res.status == 1:
-        raise NotConverged(f"simplex iteration cap reached at tau={tau}")
+        raise NotConverged(f"simplex iteration cap reached at taus={taus}")
     if not res.success:
-        raise Degenerate(f"LP solve failed at tau={tau}: {res.message}")
+        raise Degenerate(f"LP solve failed at taus={taus}: {res.message}")
+    x = res.x.reshape(blocks, n)
+    marginals = np.asarray(res.eqlin.marginals, dtype=float).reshape(blocks, p)
+    return [_polish(Z, y, tau, b_eq, a, -m)
+            for y, tau, b_eq, a, m in zip(ys, taus, rhs, x, marginals)]
 
-    a_hat = np.clip(res.x, 0.0, 1.0)
-    gamma_hat = -np.asarray(res.eqlin.marginals, dtype=float)
 
-    # Polish: with exactly p interpolated observations (the generic vertex),
-    # the primal solution solves that square system exactly and the dual
-    # satisfies its equality constraints to machine precision.
+def _polish(Z: np.ndarray, y: np.ndarray, tau: float, rhs: np.ndarray,
+            x: np.ndarray, gamma_hat: np.ndarray) -> QuantileFit:
+    """Turn one block's simplex vertex into a QuantileFit.
+
+    With exactly p interpolated observations (the generic vertex), the
+    primal solution solves that square system exactly and the dual
+    satisfies its equality constraints to machine precision.
+    """
+    n, p = Z.shape
+    a_hat = np.clip(x, 0.0, 1.0)
     interior = np.flatnonzero((a_hat > _BOUND_TOL) & (a_hat < 1.0 - _BOUND_TOL))
     if interior.size == p:
         Zh = Z[interior]
@@ -127,7 +213,7 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
                     gamma_hat = gamma_exact
 
     objective = quantile_loss(y - Z @ gamma_hat, tau)
-    return QuantileFit(tau=float(tau), gamma_hat=gamma_hat, a_hat=a_hat,
+    return QuantileFit(tau=tau, gamma_hat=gamma_hat, a_hat=a_hat,
                        objective=objective)
 
 

@@ -14,10 +14,12 @@ chi-square mixtures (any other positive-definite weighting).
 Heteroscedasticity enters through the projection weights: per-observation
 conditional densities at each level are estimated by a difference quotient
 of restricted fits at tau +/- h (Hall-Sheather bandwidth), floored at 0.01,
-and their reciprocals form the weighting of the projection. The density
-scale cancels in the projection, so only relative weights matter. Because
-the estimated weights differ across levels in finite samples, one
-projection is computed per level and the covariance scalar averages the
+and their reciprocals form the weighting of the projection. A dataset's
+3K restricted fits, at every tau and tau +/- h, are one stacked LP batch
+(:func:`~mqrank.qrsolver.fit_levels`). The density scale cancels in the
+projection, so only relative weights matter. Because the estimated
+weights differ across levels in finite samples, one projection is
+computed per level and the covariance scalar averages the
 per-level mean squares.
 
 Every subset's null law is v_bar times a mixture that depends only on the
@@ -45,7 +47,7 @@ from .distributions import (WeightedChiSquareMixture, chisq_noncentral_upper,
                             mixture_quantile)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
-from .qrsolver import fit, rank_score_function
+from .qrsolver import QuantileFit, fit_levels, rank_score_function
 
 # floor and division guard for the difference-quotient density estimate
 _DENSITY_FLOOR = 0.01
@@ -113,18 +115,51 @@ def estimate_sparsity(Z: np.ndarray, y: np.ndarray, tau: float) -> SparsityEstim
     The density at observation i is 2h over the fitted quantile spread
     z_i'(gamma(tau+h) - gamma(tau-h)), guarded by a small epsilon in the
     denominator and floored at 0.01 so nonpositive spreads cannot produce
-    negative estimates.
+    negative estimates. The fits at tau -/+ h are one :func:`fit_levels`
+    batch.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = Z.shape[0]
-    h, clipped = bandwidth(n, tau)
-    if clipped:
-        warnings.warn(
-            f"bandwidth at tau={tau} clipped to {h:.4g} to stay inside (0, 1)",
-            RuntimeWarning, stacklevel=2)
-    lo = fit(Z, y, tau - h)
-    hi = fit(Z, y, tau + h)
+    [(h, clipped)] = _bandwidths(Z.shape[0], [tau])
+    lo, hi = fit_levels(Z, [y, y], [tau - h, tau + h])
+    return _difference_quotient(Z, tau, h, clipped, lo, hi)
+
+
+def fit_with_sparsity(Z: np.ndarray, ys, taus) -> tuple[list, list]:
+    """Fit ys[j] at taus[j] and estimate its densities, for every j.
+
+    All 3K programs (tau_j, tau_j - h_j, tau_j + h_j for each level) go to
+    :func:`fit_levels` as one batch; each level's densities are the
+    difference quotient of :func:`estimate_sparsity`. Returns the K fits
+    at taus and their K :class:`SparsityEstimates`.
+    """
+    Z = np.asarray(Z, dtype=float)
+    bands = _bandwidths(Z.shape[0], taus)
+    levels = [t for tau, (h, _) in zip(taus, bands) for t in (tau, tau - h, tau + h)]
+    fits = fit_levels(Z, np.repeat(np.asarray(ys, dtype=float), 3, axis=0), levels)
+    sparsity = [_difference_quotient(Z, tau, h, clipped, lo, hi)
+                for tau, (h, clipped), lo, hi
+                in zip(taus, bands, fits[1::3], fits[2::3])]
+    return fits[0::3], sparsity
+
+
+def _bandwidths(n: int, taus) -> list:
+    """bandwidth(n, tau) for each level, warning on behalf of the caller's
+    caller for each bandwidth that had to be clipped."""
+    out = []
+    for tau in taus:
+        h, clipped = bandwidth(n, tau)
+        if clipped:
+            warnings.warn(
+                f"bandwidth at tau={tau} clipped to {h:.4g} to stay inside (0, 1)",
+                RuntimeWarning, stacklevel=3)
+        out.append((h, clipped))
+    return out
+
+
+def _difference_quotient(Z: np.ndarray, tau: float, h: float, clipped: bool,
+                         lo: QuantileFit, hi: QuantileFit) -> SparsityEstimates:
+    """Floored density estimates from the fits at tau -/+ h."""
     spread = Z @ (hi.gamma_hat - lo.gamma_hat)
     with np.errstate(divide="ignore"):
         f = 2.0 * h / (spread - _DENOM_GUARD)
@@ -200,33 +235,26 @@ class RankScoreState:
 def score_state(dataset: Dataset, spec: QuantileSpec) -> RankScoreState:
     """Fit all restricted models and assemble the shared test state.
 
-    For each level the response is offset by x times the null value, the
-    restricted model (nuisance design only) is fit, densities are
-    estimated, and the projection residual and centered duals form the
-    score entry. The K fits are independent and could run concurrently;
-    they are cheap enough that this implementation keeps them serial.
+    For each level the response is offset by x times the null value; the
+    restricted fits (nuisance design only) at every level and its density
+    bandwidths are one :func:`fit_with_sparsity` batch. Each level's
+    projection residual and centered duals then form its score entry.
     """
     validate(dataset, spec)
     n = dataset.n
     k = spec.k
     root_n = np.sqrt(n)
 
+    ys = [dataset.y - dataset.x * null for null in spec.null_values]
+    fits, sparsity = fit_with_sparsity(dataset.Z, ys, spec.taus)
     score = np.empty(k)
     v_per_tau = np.empty(k)
     proj_resid = np.empty((k, n))
-    fits = []
-    sparsity = []
-    for j, tau in enumerate(spec.taus):
-        y_adj = dataset.y - dataset.x * spec.null_values[j]
-        qfit = fit(dataset.Z, y_adj, tau)
-        sp = estimate_sparsity(dataset.Z, y_adj, tau)
+    for j, (qfit, sp) in enumerate(zip(fits, sparsity)):
         resid, v_tau = weighted_projection(dataset.Z, dataset.x, sp.f_hat)
-        b = rank_score_function(qfit)
-        score[j] = resid @ b / root_n
+        score[j] = resid @ rank_score_function(qfit) / root_n
         v_per_tau[j] = v_tau
         proj_resid[j] = resid
-        fits.append(qfit)
-        sparsity.append(sp)
 
     return RankScoreState(taus=spec.taus, null_values=spec.null_values,
                           score=score, bridge=bridge_covariance(spec.taus),

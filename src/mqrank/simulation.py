@@ -21,9 +21,9 @@ from .datamodel import Dataset, QuantileSpec, all_subsets, validate_spec
 from .distributions import chisq_upper
 from .exceptions import MqrankError, SingularCovariance
 from .multiplicity import bonferroni, holm
-from .qrsolver import fit
+from .qrsolver import fit_levels
 from .rankscore import (SubsetPlan, WeightingMatrix, bridge_covariance,
-                        estimate_sparsity, score_state)
+                        fit_with_sparsity, score_state)
 
 DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
@@ -107,8 +107,8 @@ def generate(scenario: Scenario, replication_index: int) -> Dataset:
 
 def target_coefficients(dataset: Dataset, spec: QuantileSpec) -> np.ndarray:
     """Full-model target coefficient estimates, one per quantile level."""
-    m = dataset.full_design()
-    return np.array([fit(m, dataset.y, tau).gamma_hat[0] for tau in spec.taus])
+    fits = fit_levels(dataset.full_design(), [dataset.y] * spec.k, spec.taus)
+    return np.array([qfit.gamma_hat[0] for qfit in fits])
 
 
 def wald_covariance(dataset: Dataset, spec: QuantileSpec):
@@ -121,18 +121,16 @@ def wald_covariance(dataset: Dataset, spec: QuantileSpec):
     m = dataset.full_design()
     n = dataset.n
     j_mat = m.T @ m / n
-    beta_hat = np.empty(spec.k)
+    fits, sparsity = fit_with_sparsity(m, [dataset.y] * spec.k, spec.taus)
+    beta_hat = np.array([qfit.gamma_hat[0] for qfit in fits])
     bread_rows = np.empty((spec.k, m.shape[1]))
-    for idx, tau in enumerate(spec.taus):
-        qfit = fit(m, dataset.y, tau)
-        beta_hat[idx] = qfit.gamma_hat[0]
-        sp = estimate_sparsity(m, dataset.y, tau)
+    for idx, sp in enumerate(sparsity):
         h_mat = (m * sp.f_hat[:, None]).T @ m / n
         try:
             hinv = np.linalg.inv(h_mat)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance(
-                f"density-weighted Gram matrix singular at tau={tau}") from exc
+                f"density-weighted Gram matrix singular at tau={sp.tau}") from exc
         bread_rows[idx] = hinv[0]
     cov = bridge_covariance(spec.taus) * (bread_rows @ j_mat @ bread_rows.T) / n
     return beta_hat, cov

@@ -6,6 +6,7 @@ from scipy.stats import chi2, ncx2
 
 from mqrank import (WeightedChiSquareMixture, chisq_noncentral_upper,
                     chisq_upper, imhof_upper, mixture_quantile)
+from mqrank.distributions import chisq_quantile
 
 # Monte Carlo oracle values, frozen from 1e7-draw runs (helpers/oracle
 # draws with numpy Philox-family generators, seed 20260809); each entry
@@ -24,6 +25,19 @@ def test_chisq_upper_canonical_quantiles():
     assert chisq_upper(3.841, 1) == pytest.approx(0.05, abs=1e-3)
     assert chisq_upper(5.991, 2) == pytest.approx(0.05, abs=1e-3)
     assert chisq_upper(0.0, 3) == 1.0
+
+
+def test_chisq_closed_forms_equal_scipy_stats_exactly():
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([[-5.0, -1e-12, 0.0, 1e-300, 1e-8, 1e3],
+                         rng.exponential(8.0, 200)])
+    alphas = np.concatenate([[1e-15, 1e-9, 0.05, 0.5, 1.0 - 1e-9],
+                             rng.random(200)])
+    for k in range(1, 16):
+        for x in xs:
+            assert chisq_upper(float(x), k) == float(chi2.sf(x, k))
+        for alpha in alphas:
+            assert chisq_quantile(float(alpha), k) == float(chi2.isf(alpha, k))
 
 
 def test_chisq_noncentral_zero_equals_central():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.sparse import csc_array
 
-from mqrank import Degenerate, fit, rank_score_function
+import mqrank.qrsolver as qrsolver
+from mqrank import Degenerate, NotConverged, fit, fit_levels, rank_score_function
 from mqrank.qrsolver import dual_objective, quantile_loss
 from helpers import intercept_only_duals, vertex_enumeration_fit
 
@@ -150,3 +153,114 @@ def test_bad_tau_raises():
 def test_quantile_loss_formula():
     assert quantile_loss(np.array([1.0, -1.0]), 0.25) == pytest.approx(1.0)
     assert quantile_loss(np.zeros(3), 0.7) == 0.0
+
+
+# --- stacked solves -------------------------------------------------------------
+
+def assert_same_fit(got, want):
+    assert got.tau == want.tau
+    assert np.array_equal(got.gamma_hat, want.gamma_hat)
+    assert np.array_equal(got.a_hat, want.a_hat)
+    assert got.objective == want.objective
+
+
+def count_linprog_calls(monkeypatch):
+    """Record the constraint-matrix shape of every linprog call."""
+    calls = []
+    real = qrsolver.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["A_eq"].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qrsolver, "linprog", counted)
+    return calls
+
+
+def test_block_diagonal_matches_scipy_layout():
+    # zeros in Z (dummy columns) are left out, as a dense Z' converts
+    rng = np.random.default_rng(11)
+    Z = np.column_stack([np.ones(9), rng.integers(0, 2, 9), rng.standard_normal(9)])
+    got = qrsolver._block_diagonal(Z, 4)
+    want = csc_array(block_diag(*[Z.T] * 4))
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got.shape == want.shape
+
+
+def test_fit_levels_equals_per_level_fits_on_continuous_data():
+    rng = np.random.default_rng(17)
+    Z, _ = random_instance(rng, 80, 3)
+    taus = [0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 0.33]
+    ys = [Z @ rng.standard_normal(3) + rng.standard_normal(80) for _ in taus]
+    for got, y, tau in zip(fit_levels(Z, ys, taus), ys, taus):
+        assert_same_fit(got, fit(Z, y, tau))
+
+
+def test_fit_levels_column_cap_splits_batch(monkeypatch):
+    # 27 blocks of 400 observations: 5 blocks per call under the cap
+    rng = np.random.default_rng(19)
+    Z, y = random_instance(rng, 400, 2)
+    taus = [float(t) for t in rng.uniform(0.05, 0.95, 27)]
+    ys = [y + 0.1 * rng.standard_normal(400) for _ in taus]
+    calls = count_linprog_calls(monkeypatch)
+    fits = fit_levels(Z, ys, taus)
+    per_call = qrsolver._MAX_COLUMNS // 400
+    assert len(calls) == -(-27 // per_call)
+    assert all(cols <= qrsolver._MAX_COLUMNS for _, cols in calls)
+    assert sum(cols for _, cols in calls) == 27 * 400
+    for got, y_i, tau in zip(fits, ys, taus):
+        assert_same_fit(got, fit(Z, y_i, tau))
+
+
+def test_fit_levels_on_tied_responses_is_an_optimal_vertex():
+    # three-level responses admit several optimal vertices per block; any
+    # of them must be optimal, feasible and a vertex
+    rng = np.random.default_rng(23)
+    for trial in range(12):
+        n = int(rng.integers(6, 10))
+        p = int(rng.integers(1, 3))
+        Z, _ = random_instance(rng, n, p)
+        taus = [0.2, 0.5, 0.8, 0.35]
+        ys = [rng.integers(0, 3, n).astype(float) for _ in taus]
+        for qfit, y, tau in zip(fit_levels(Z, ys, taus), ys, taus):
+            oracle_obj, _ = vertex_enumeration_fit(Z, y, tau)
+            assert qfit.objective == pytest.approx(oracle_obj, abs=1e-10)
+            a = qfit.a_hat
+            resid = Z.T @ a - (1 - tau) * Z.sum(axis=0)
+            assert np.linalg.norm(resid) / n <= 1e-8
+            assert np.sum((a > 1e-8) & (a < 1 - 1e-8)) <= p
+
+
+def test_fit_levels_bad_tau_raises_before_any_solve(monkeypatch):
+    calls = count_linprog_calls(monkeypatch)
+    rng = np.random.default_rng(2)
+    Z, y = random_instance(rng, 30, 2)
+    for bad in (0.0, 1.0, -0.2, float("nan")):
+        with pytest.raises(ValueError):
+            fit_levels(Z, [y, y, y], [0.3, 0.5, bad])
+    assert calls == []
+
+
+def test_fit_levels_rank_deficient_design_raises():
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(20)
+    Z = np.column_stack([np.ones(20), z, 2 * z])
+    y = rng.standard_normal(20)
+    with pytest.raises(Degenerate):
+        fit_levels(Z, [y, y], [0.25, 0.75])
+
+
+@pytest.mark.parametrize("status, error", [(1, NotConverged), (2, Degenerate),
+                                           (4, Degenerate)])
+def test_failed_stacked_solve_names_its_levels(monkeypatch, status, error):
+    class Failed:
+        success = False
+        message = "solver says no"
+
+    Failed.status = status
+    monkeypatch.setattr(qrsolver, "linprog", lambda *a, **k: Failed())
+    rng = np.random.default_rng(3)
+    Z, y = random_instance(rng, 25, 2)
+    with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
+        fit_levels(Z, [y, y, y], [0.25, 0.5, 0.75])

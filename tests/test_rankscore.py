@@ -186,6 +186,30 @@ def test_score_intercept_only_matches_direct_formula():
     assert state.score[0] == pytest.approx(direct, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, taus", [
+    (100, (0.1, 0.5, 0.9)),
+    # 27 programs of 400 observations: the column cap splits the batch
+    (400, tuple(np.round(np.arange(1, 10) / 10, 1))),
+])
+def test_score_state_fits_equal_per_level_solves(n, taus):
+    ds = make_dataset(np.random.default_rng(37), n=n, beta=0.2, scale="hetero")
+    nulls = tuple(0.05 * j - 0.12 for j in range(len(taus)))
+    state = score_state(ds, QuantileSpec(taus, null_values=nulls))
+    for j, (tau, null) in enumerate(zip(taus, nulls)):
+        y_adj = ds.y - ds.x * null
+        want = fit(ds.Z, y_adj, tau)
+        got = state.fits[j]
+        assert got.tau == want.tau and got.objective == want.objective
+        assert np.array_equal(got.gamma_hat, want.gamma_hat)
+        assert np.array_equal(got.a_hat, want.a_hat)
+        want_sp = estimate_sparsity(ds.Z, y_adj, tau)
+        got_sp = state.sparsity[j]
+        assert (got_sp.tau, got_sp.bandwidth, got_sp.clipped) == \
+            (want_sp.tau, want_sp.bandwidth, want_sp.clipped)
+        for field in ("f_hat", "gamma_lo", "gamma_hi"):
+            assert np.array_equal(getattr(got_sp, field), getattr(want_sp, field))
+
+
 def test_score_state_bookkeeping():
     rng = np.random.default_rng(29)
     ds = make_dataset(rng, n=80)

@@ -4,10 +4,11 @@ from scipy.stats import kstest, skew
 
 import mqrank.simulation as sim
 from mqrank import (HypothesisSubset, MqrankError, QuantileSpec, Scenario,
-                    WeightingMatrix, closed_test, generate, run_monte_carlo,
+                    WeightingMatrix, bridge_covariance, closed_test,
+                    estimate_sparsity, fit, generate, run_monte_carlo,
                     score_state, wald_test)
 from mqrank.simulation import (load_scenario, parse_scenario_text,
-                               target_coefficients)
+                               target_coefficients, wald_covariance)
 
 
 def test_generate_is_deterministic():
@@ -148,6 +149,24 @@ def test_target_coefficients_recover_signal():
     spec = QuantileSpec((0.25, 0.5, 0.75))
     beta_hat = target_coefficients(ds, spec)
     assert np.all(np.abs(beta_hat - 1.0) < 0.25)
+
+
+def test_wald_batches_equal_per_level_fits():
+    ds = generate(Scenario(dgp="hetero_normal", beta=0.3, n=150,
+                           replications=1, seed=41), 0)
+    spec = QuantileSpec((0.1, 0.3, 0.5, 0.7, 0.9))
+    m = ds.full_design()
+    beta_loop = np.array([fit(m, ds.y, tau).gamma_hat[0] for tau in spec.taus])
+    bread = np.array([
+        np.linalg.inv((m * estimate_sparsity(m, ds.y, tau).f_hat[:, None]).T
+                      @ m / ds.n)[0]
+        for tau in spec.taus])
+    cov_loop = (bridge_covariance(spec.taus)
+                * (bread @ (m.T @ m / ds.n) @ bread.T) / ds.n)
+    assert np.array_equal(target_coefficients(ds, spec), beta_loop)
+    beta_hat, cov = wald_covariance(ds, spec)
+    assert np.array_equal(beta_hat, beta_loop)
+    assert np.array_equal(cov, cov_loop)
 
 
 def test_wald_pvalues_approach_uniformity_at_large_n():
