@@ -12,7 +12,8 @@ command line.
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         validate)
 from .distributions import (WeightedChiSquareMixture, chisq_noncentral_upper,
-                            chisq_upper, imhof_upper, mixture_quantile)
+                            chisq_upper, imhof_upper, mixture_quantile,
+                            upper_tails)
 from .exceptions import (BandwidthInfeasible, Degenerate, MqrankError,
                          NotConverged, NotPositiveDefinite, QuadratureFailure,
                          SingularA, SingularCovariance, SingularProjection,
@@ -38,7 +39,7 @@ __all__ = [
     "estimate_sparsity", "weighted_projection", "bridge_covariance",
     "noncentrality_standard", "noncentrality_generalized", "analytic_power",
     "WeightedChiSquareMixture", "chisq_upper", "chisq_noncentral_upper",
-    "imhof_upper", "mixture_quantile",
+    "imhof_upper", "upper_tails", "mixture_quantile",
     "ClosureReport", "closed_test", "bonferroni", "holm",
     "Scenario", "MonteCarloReport", "generate", "run_monte_carlo", "wald_test",
     "load_scenario",

@@ -103,6 +103,8 @@ def cmd_test(args) -> int:
         nulls = (_parse_floats(args.null_values, "--null-values")
                  if args.null_values else None)
         data = _read_csv_columns(args.input, columns)
+        if not 0.0 < args.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
     except (ValueError, ValidationError) as exc:
         return _fail(str(exc))
 

@@ -38,13 +38,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm, t as student_t
+from scipy.special import gammaln, ndtri, stdtrit
 
 from .datamodel import Dataset, HypothesisSubset, QuantileSpec, all_subsets, validate
 from .distributions import (WeightedChiSquareMixture, chisq_noncentral_upper,
-                            chisq_quantile, chisq_upper, imhof_upper,
-                            mixture_quantile)
+                            chisq_quantile, chisq_upper, mixture_quantile,
+                            upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
 from .qrsolver import QuantileFit, fit_levels, rank_score_function
@@ -60,16 +59,21 @@ _EQUAL_WEIGHT_RTOL = 1e-9
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
+def _normal_density(z: float) -> float:
+    """Standard normal density in closed form, bit for bit norm.pdf: z is
+    squared by multiplication, as norm.pdf does on arrays; numpy's scalar
+    ``z ** 2`` can differ from it in the last bit."""
+    return np.exp(-(z * z) / 2.0) / _SQRT_2PI
+
+
 def hall_sheather_bandwidth(n: int, tau: float, alpha: float = 0.05) -> float:
     """Hall-Sheather rate-optimal bandwidth for quantile density estimation.
 
     Uses ndtri and the normal density in closed form rather than
     scipy.stats.norm, whose argument handling costs ~100x the arithmetic.
-    The density squares z by multiplication, as norm.pdf does on arrays;
-    numpy's scalar ``z ** 2`` can differ from it in the last bit.
     """
     z_tau = ndtri(tau)
-    num = 1.5 * (np.exp(-(z_tau * z_tau) / 2.0) / _SQRT_2PI) ** 2
+    num = 1.5 * _normal_density(z_tau) ** 2
     den = 2.0 * z_tau ** 2 + 1.0
     return float(n ** (-1.0 / 3.0) * ndtri(1.0 - alpha / 2.0) ** (2.0 / 3.0)
                  * (num / den) ** (1.0 / 3.0))
@@ -293,10 +297,16 @@ class ErrorFamily:
     df: float = None
 
     def density_at_quantile(self, tau: float) -> float:
+        """Density at the tau-quantile, from scipy.special closed forms
+        (ndtri, stdtrit, gammaln) so that scipy.stats is never imported."""
         if self.name == "normal":
-            return float(norm.pdf(norm.ppf(tau)))
+            return float(_normal_density(ndtri(tau)))
         if self.name == "t":
-            return float(student_t.pdf(student_t.ppf(tau, self.df), self.df))
+            nu = float(self.df)
+            q = stdtrit(nu, tau)
+            return float(np.exp(gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
+                                - 0.5 * np.log(nu * np.pi)
+                                - 0.5 * (nu + 1.0) * np.log1p(q * q / nu)))
         raise ValueError(f"unknown error family {self.name!r}")
 
 
@@ -468,14 +478,24 @@ def _equal_weights(lam: np.ndarray) -> bool:
     return lam[-1] - lam[0] <= _EQUAL_WEIGHT_RTOL * lam[-1]
 
 
-def _upper_tail(lam: np.ndarray, q: float, zetas: np.ndarray = None) -> float:
-    """P(sum_i lam_i chi2_1(zeta_i) > q), central when zetas is None; equal
-    weights use the exact scaled chi-square in place of numerical inversion."""
-    if _equal_weights(lam):
-        zeta = 0.0 if zetas is None else float(zetas.sum())
-        return chisq_noncentral_upper(q / float(lam.mean()), lam.size, zeta)
-    return imhof_upper(WeightedChiSquareMixture(
-        weights=tuple(lam), noncentralities=zetas), q)
+def _upper_tails(weights: list, q, zetas: list = None) -> np.ndarray:
+    """P(sum_i lam_i chi2_1(zeta_i) > q) for each subset's lam, q and
+    zetas, central when zetas is None. Equal weights use the exact scaled
+    chi-square; the others take one :func:`upper_tails` call per subset
+    size."""
+    q = np.asarray(q, dtype=float)
+    out = np.empty(q.size)
+    by_size = {}
+    for i, lam in enumerate(weights):
+        if _equal_weights(lam):
+            zeta = 0.0 if zetas is None else float(zetas[i].sum())
+            out[i] = chisq_noncentral_upper(q[i] / float(lam.mean()), lam.size, zeta)
+        else:
+            by_size.setdefault(lam.size, []).append(i)
+    for idx in by_size.values():
+        out[idx] = upper_tails([weights[i] for i in idx], q[idx],
+                               None if zetas is None else [zetas[i] for i in idx])
+    return out
 
 
 def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
@@ -501,7 +521,8 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     else:
         reference = WeightedChiSquareRef(weights=tuple(weights))
     return TestOutcome(statistic=scale * q, reference=reference,
-                       p_value=_upper_tail(lam, q), subset=subset)
+                       p_value=float(_upper_tails([lam], [q])[0]),
+                       subset=subset)
 
 
 # --- analytic power ingredients ---------------------------------------------
@@ -560,8 +581,7 @@ class SubsetPlan:
 
     def p_values(self, score: np.ndarray, v_bar: float) -> list:
         """Null tail probability of every subset's statistic."""
-        return [_upper_tail(lam, q) for lam, q
-                in zip(self.weights, self.statistics(score, v_bar))]
+        return _upper_tails(self.weights, self.statistics(score, v_bar)).tolist()
 
     def critical_values(self, alpha: float) -> np.ndarray:
         """Unit-scale level-alpha critical value of every subset; subsets with
@@ -584,13 +604,10 @@ class SubsetPlan:
         """Rejection probability of every subset test when the score has
         mean g and covariance v_bar * bridge."""
         g_unit = np.asarray(g, dtype=float) / np.sqrt(v_bar)
-        out = []
-        for pos, b_c, crit in zip(self.positions, self.matrices,
-                                  self.critical_values(alpha)):
-            lam, zetas = noncentrality_generalized(
-                g_unit[pos], self.bridge[np.ix_(pos, pos)], b_c)
-            out.append(_upper_tail(lam, crit, zetas))
-        return out
+        weights, zetas = zip(*(
+            noncentrality_generalized(g_unit[pos], self.bridge[np.ix_(pos, pos)], b_c)
+            for pos, b_c in zip(self.positions, self.matrices)))
+        return _upper_tails(weights, self.critical_values(alpha), zetas).tolist()
 
 
 def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,

@@ -240,8 +240,9 @@ def run_monte_carlo(scenario: Scenario,
     ``methods`` picks the per-hypothesis procedures; subset-level
     rejection rates of the local rank-score tests (one table per
     weighting) and of the Wald test (when requested) are always included
-    for whatever is computed. An invalid level set raises ValidationError
-    before the first replication. Replications that raise are either
+    for whatever is computed. An invalid level set raises ValidationError,
+    and an alpha outside (0, 1) ValueError, before the first replication.
+    Replications that raise are either
     recorded and excluded (`on_error="record"`) or re-raised
     (`on_error="raise"`); acceptance-grade runs must end with a zero error
     count.
@@ -251,6 +252,8 @@ def run_monte_carlo(scenario: Scenario,
             raise ValueError(f"unknown method {m!r}; expected from {METHOD_NAMES}")
     if on_error not in ("record", "raise"):
         raise ValueError("on_error must be 'record' or 'raise'")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     k = len(scenario.taus)
 
     weightings = tuple(

@@ -72,3 +72,48 @@ def intercept_only_duals(y, tau):
     for rank, idx in enumerate(order, start=1):
         a[idx] = min(1.0, max(0.0, rank - n * tau))
     return a
+
+
+def mixture_grid(seed, count, harsh=False):
+    """Seeded (weights, noncentralities, x) triples for comparing tail rules.
+
+    The default grid has K = 1-11 weights log-uniform on 1e-3..1e2, 40% of
+    mixtures noncentral with each component noncentral with probability
+    0.4 and noncentrality up to 20, and x log-uniform on 1e-2..10 times the
+    mean. The harsh grid has K <= 16, weights 1e-4..1e3, noncentralities up
+    to 50 and x from 1e-8 to 20 times the mean.
+    """
+    rng = np.random.default_rng(seed)
+    grid = []
+    for _ in range(count):
+        if harsh:
+            k = int(rng.integers(1, 17))
+            lam = 10.0 ** rng.uniform(-4.0, 3.0, k)
+            zet = np.where(rng.random(k) < 0.4, rng.uniform(0.0, 50.0, k), 0.0)
+            low, high = -8.0, 1.3
+        else:
+            k = int(rng.integers(1, 12))
+            lam = 10.0 ** rng.uniform(-3.0, 2.0, k)
+            zet = np.where(rng.random(k) < 0.4, rng.uniform(0.0, 20.0, k), 0.0)
+            if rng.random() >= 0.4:
+                zet = np.zeros(k)
+            low, high = -2.0, 1.0
+        x = float(lam @ (1.0 + zet)) * 10.0 ** rng.uniform(low, high)
+        grid.append((lam, zet, x))
+    return grid
+
+
+def contour_rule_gaps(grid):
+    """|contour rule - certified rule| for every (weights, noncentralities,
+    x) triple: the N = 20 hyperbolic rule, clipped to [0, 1] and without
+    the Chernoff shortcut or the agreement check, against the certified
+    Imhof quadrature."""
+    from mqrank.distributions import _certified_upper, _contour_tails
+
+    gaps = []
+    for lam, zet, x in grid:
+        dfs = np.ones_like(lam)
+        tail = _contour_tails(lam[None], zet[None], dfs[None], np.array([x]))[0, -1]
+        gaps.append(abs(min(max(tail, 0.0), 1.0)
+                        - _certified_upper(lam, zet, dfs, x)))
+    return np.array(gaps)

@@ -115,6 +115,16 @@ def test_cmd_test_duplicate_taus(data_csv, capsys):
     assert "DuplicateQuantile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_cmd_test_alpha_out_of_range_exit_2(data_csv, alpha, capsys):
+    code = run_cli("test", "--input", str(data_csv), "--response", "resp",
+                   "--target", "xcov", "--taus", "0.25,0.5", "--alpha", alpha)
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.err == "error: alpha must be in (0, 1)\n"
+    assert out.out == ""
+
+
 def test_cmd_test_custom_weighting(data_csv, tmp_path):
     wpath = tmp_path / "w.txt"
     wpath.write_text("2.0 0.1\n0.1 1.0\n")
@@ -197,6 +207,17 @@ def test_cmd_simulate_invalid_levels_exit_2(tmp_path, capsys):
                    "--weightings", "inverse", "--format", "json")
     assert code == 2
     assert "QuantileOutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_cmd_simulate_alpha_out_of_range_exit_2(alpha, capsys):
+    code = run_cli("simulate", "--scenario", "null_calibration",
+                   "--methods", "closed,raw", "--weightings", "inverse",
+                   "--replications", "2", "--alpha", alpha)
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.err == "error: alpha must be in (0, 1)\n"
+    assert out.out == ""
 
 
 def test_cmd_simulate_all_replications_failed_exit_3(monkeypatch, tmp_path,

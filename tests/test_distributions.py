@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import chi2, ncx2
 
-from mqrank import (WeightedChiSquareMixture, chisq_noncentral_upper,
-                    chisq_upper, imhof_upper, mixture_quantile)
-from mqrank.distributions import chisq_quantile
+import mqrank
+from helpers import contour_rule_gaps, make_dataset, mixture_grid
+from mqrank import (QuantileSpec, WeightedChiSquareMixture, WeightingMatrix,
+                    analytic_power, chisq_noncentral_upper, chisq_upper,
+                    closed_test, distributions, imhof_upper, mixture_quantile,
+                    score_state, upper_tails)
+from mqrank.distributions import _certified_upper, chisq_quantile
+from mqrank.rankscore import SubsetPlan
 
 # Monte Carlo oracle values, frozen from 1e7-draw runs (helpers/oracle
 # draws with numpy Philox-family generators, seed 20260809); each entry
@@ -19,6 +28,8 @@ MC_NCMIX_3Z3_15Z1_AT_2 = (0.2705645, 0.000141)
 # imhof_upper's quadrature budgets keep its p-value error below 1e-10, and
 # its deep-tail shortcut returns 0 only where the tail is below 1e-9
 RULE_TOL = 1e-9
+# the contour rule is accepted only where N = 16 and N = 20 agree this well
+CONTOUR_TOL = 1e-10
 
 
 def test_chisq_upper_canonical_quantiles():
@@ -38,6 +49,30 @@ def test_chisq_closed_forms_equal_scipy_stats_exactly():
             assert chisq_upper(float(x), k) == float(chi2.sf(x, k))
         for alpha in alphas:
             assert chisq_quantile(float(alpha), k) == float(chi2.isf(alpha, k))
+
+
+def test_chisq_quantile_rejects_alpha_outside_unit_interval():
+    for alpha in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            chisq_quantile(alpha, 3)
+
+
+def test_chisq_noncentral_matches_scipy_stats_on_grid():
+    xs = np.concatenate([[1e-6, 0.01], np.linspace(0.1, 60.0, 40)])
+    for k in range(1, 16):
+        for zeta in (0.0, 1e-8, 0.1, 1.0, 5.0, 12.5, 30.0, 50.0):
+            got = np.array([chisq_noncentral_upper(float(x), k, zeta) for x in xs])
+            assert np.max(np.abs(got - ncx2.sf(xs, k, zeta))) <= 1e-12
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mqrank, mqrank.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_chisq_noncentral_zero_equals_central():
@@ -201,3 +236,96 @@ def test_imhof_noncentral_equal_weights_match_ncx2(k):
             x = w * ncx2.isf(10.0 ** level, k, zetas.sum())
             assert imhof_upper(mix, x) == pytest.approx(
                 ncx2.sf(x / w, k, zetas.sum()), abs=RULE_TOL)
+
+
+@pytest.mark.parametrize("seed, count, harsh", [(20261018, 400, False),
+                                                (7, 600, True)])
+def test_contour_rule_matches_certified_rule(seed, count, harsh):
+    assert contour_rule_gaps(mixture_grid(seed, count, harsh)).max() <= RULE_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=12),
+       nc=st.lists(st.floats(0.0, 20.0), min_size=12, max_size=12),
+       level=st.floats(-3.0, 1.0))
+def test_contour_rule_agrees_with_certified_property(weights, nc, level):
+    lam = np.array(weights)
+    zet = np.array(nc[:lam.size])
+    x = float(lam @ (1.0 + zet)) * 10.0 ** level
+    assert contour_rule_gaps([(lam, zet, x)])[0] <= RULE_TOL
+
+
+def test_upper_tails_exact_chisq_forms():
+    rng = np.random.default_rng(41)
+    levels = 10.0 ** np.linspace(-9.0, -1e-6, 40)
+    for k in range(1, 16):
+        for w in (1e-3, 0.05, 1.0, 12.0, 1e3):
+            x = w * chi2.isf(levels, k)
+            got = upper_tails(np.full((x.size, k), w), x)
+            assert np.max(np.abs(got - chi2.sf(x / w, k))) <= CONTOUR_TOL
+            zetas = rng.uniform(0.0, 50.0 / k, k)
+            x = w * ncx2.isf(levels, k, zetas.sum())
+            got = upper_tails(np.full((x.size, k), w), x,
+                              np.tile(zetas, (x.size, 1)))
+            assert np.max(np.abs(got - ncx2.sf(x / w, k, zetas.sum()))) \
+                <= CONTOUR_TOL
+
+
+def test_upper_tails_rows_match_imhof_upper():
+    rng = np.random.default_rng(43)
+    rows, k = 300, 6
+    lam = 10.0 ** rng.uniform(-2.0, 1.0, (rows, k))
+    zet = np.where(rng.random((rows, k)) < 0.5, rng.uniform(0.0, 8.0, (rows, k)), 0.0)
+    dfs = rng.integers(1, 4, (rows, k))
+    x = np.sum(lam * (dfs + zet), axis=1) * 10.0 ** rng.uniform(-2.0, 1.0, rows)
+    x[:3] = (0.0, -1.0, 1e4)
+    got = upper_tails(lam, x, zet, dfs)
+    assert got[:3].tolist() == [1.0, 1.0, 0.0]
+    # batch and single row may sum the nodes in another order; the rule's
+    # rounding level is about e^(0.355 N) eps = 2.6e-13 at N = 20
+    for r in range(rows):
+        mix = WeightedChiSquareMixture(tuple(lam[r]), tuple(zet[r]), tuple(dfs[r]))
+        assert got[r] == pytest.approx(imhof_upper(mix, x[r]), abs=3e-13)
+
+
+def test_disagreeing_rules_return_certified_value(monkeypatch):
+    rng = np.random.default_rng(47)
+    lam = rng.uniform(0.1, 2.0, (5, 4))
+    x = lam.sum(axis=1) * np.array([0.3, 0.8, 1.0, 1.5, 3.0])
+
+    def disagreeing(lam, zet, dfs, x):
+        return np.column_stack([np.full(x.size, 0.3), np.full(x.size, 0.7)])
+
+    monkeypatch.setattr(distributions, "_contour_tails", disagreeing)
+    got = upper_tails(lam, x)
+    for r in range(5):
+        assert got[r] == _certified_upper(lam[r], np.zeros(4), np.ones(4), x[r])
+
+
+def test_certified_fallback_never_fires_on_benchmark_style_inputs(monkeypatch):
+    """Closures at n = 200, K = 9, analytic power at K = 5 over three
+    weightings and four directions, and K = 5 critical values."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _certified_upper(*args)
+
+    monkeypatch.setattr(distributions, "_certified_upper", counting)
+    rng = np.random.default_rng(53)
+    spec = QuantileSpec(tuple(round(0.1 * i, 1) for i in range(1, 10)))
+    closures = 0
+    for beta in (0.05, 0.05, 0.05, 0.3, 0.6):
+        state = score_state(make_dataset(rng, n=200, beta=beta, scale="hetero"),
+                            spec)
+        closures += len(closed_test(state, WeightingMatrix.identity()).local_p)
+    assert closures == 5 * 511
+
+    taus = (0.1, 0.25, 0.5, 0.75, 0.9)
+    for name in ("identity", "diag-delta", "density:normal"):
+        weighting = WeightingMatrix.parse(name)
+        for shape in ((1.0,) * 5, (1.0, 0.75, 0.5, 0.25, 0.0),
+                      (0.0, 0.25, 0.5, 0.75, 1.0), (0.0,) * 5):
+            analytic_power(taus, 0.5 * np.array(shape), 1.1, weighting)
+    SubsetPlan(taus, WeightingMatrix.identity()).critical_values(0.05)
+    assert calls == []

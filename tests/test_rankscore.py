@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2, norm
+from scipy.stats import chi2, norm, t as student_t
 
 from mqrank import (Dataset, HypothesisSubset, QuantileSpec,
                     NotPositiveDefinite, SingularProjection, WeightingMatrix,
@@ -10,7 +10,7 @@ from mqrank import (Dataset, HypothesisSubset, QuantileSpec,
                     statistic_standard, weighted_projection)
 from mqrank.distributions import (WeightedChiSquareMixture, imhof_upper,
                                   mixture_quantile)
-from mqrank.rankscore import bandwidth, hall_sheather_bandwidth
+from mqrank.rankscore import ErrorFamily, bandwidth, hall_sheather_bandwidth
 from helpers import intercept_only_duals, make_dataset, synthetic_state
 
 # frozen from the same 1e7-draw oracle run as the distribution tests
@@ -474,6 +474,23 @@ def test_weighting_materialization():
     inv = WeightingMatrix.inverse().materialize(taus, sub)
     expected = np.linalg.inv(bridge_covariance(taus)[np.ix_([0, 2], [0, 2])])
     assert np.allclose(inv, expected)
+
+
+def test_normal_family_density_equals_scipy_stats_exactly():
+    family = ErrorFamily("normal")
+    for tau in np.linspace(0.001, 0.999, 999):
+        assert family.density_at_quantile(float(tau)) == \
+            float(norm.pdf(norm.ppf(tau)))
+
+
+def test_t_family_density_matches_scipy_stats():
+    # gammaln differences in place of scipy's log(poch): a few ulps apart
+    taus = np.linspace(0.001, 0.999, 999)
+    for df in (1.0, 2.5, 3.0, 5.0, 30.0, 300.0):
+        family = ErrorFamily("t", df)
+        got = np.array([family.density_at_quantile(float(tau)) for tau in taus])
+        expected = student_t.pdf(student_t.ppf(taus, df), df)
+        assert np.max(np.abs(got / expected - 1.0)) <= 1e-14
 
 
 def test_custom_weighting_validation_and_subsetting():
