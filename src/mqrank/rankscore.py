@@ -625,8 +625,12 @@ def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
     if g.shape != (k,):
         raise ValueError(f"g must have one entry per quantile level, got "
                          f"{g.shape[0]} for K={k}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"g must be finite, got {g.tolist()}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if not np.isfinite(v_bar):
+        raise ValueError(f"v_bar must be finite, got {v_bar}")
     if v_bar <= 0.0:
         raise SingularProjection("score covariance scale must be positive")
     plan = SubsetPlan(taus, weighting)

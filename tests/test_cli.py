@@ -278,6 +278,16 @@ def test_cmd_power_dimension_mismatch(capsys):
     assert run_cli("power", "--taus", "0.25,0.75", "--g", "1,2,3") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--vn", "nan"), ("--vn", "inf"),
+                                         ("--g", "nan,0.1"), ("--g", "0.1,inf")])
+def test_cmd_power_non_finite_input_exit_2(capsys, flag, value):
+    args = {"--taus": "0.25,0.75", "--g": "0.5,0.5", "--vn": "1.0", flag: value}
+    assert run_cli("power", *(item for pair in args.items() for item in pair)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_cmd_power_csv(capsys):
     code = run_cli("power", "--taus", "0.25,0.75", "--g", "0.5,0.5",
                    "--format", "csv")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 import mqrank.qrsolver as qrsolver
@@ -264,3 +265,118 @@ def test_failed_stacked_solve_names_its_levels(monkeypatch, status, error):
     Z, y = random_instance(rng, 25, 2)
     with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
         fit_levels(Z, [y, y, y], [0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("n", [30, 100, 400, 2500])
+def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
+    # the stacked solves run without presolve; on continuous data each
+    # block's optimal vertex is unique, so an independent one-level solve
+    # with HiGHS's default options (presolve on) must land on it too
+    rng = np.random.default_rng(n)
+    Z, _ = random_instance(rng, n, 3)
+    taus = [0.1, 0.35, 0.5, 0.9]
+    ys = [Z @ rng.standard_normal(3) + rng.standard_t(5, n) for _ in taus]
+    calls = count_linprog_calls(monkeypatch)
+    fits = fit_levels(Z, ys, taus)
+    # above the column cap every level is its own call
+    assert len(calls) == -(-len(taus) // max(1, qrsolver._MAX_COLUMNS // n))
+    tol = qrsolver._BOUND_TOL
+    for qfit, y, tau in zip(fits, ys, taus):
+        ref = linprog(c=-y, A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
+                      bounds=(0.0, 1.0), method="highs-ds")
+        assert ref.status == 0
+        for a in (qfit.a_hat, ref.x):
+            assert np.sum((a > tol) & (a < 1.0 - tol)) == 3
+        assert np.array_equal(qfit.a_hat > 1.0 - tol, ref.x > 1.0 - tol)
+        assert np.array_equal(qfit.a_hat > tol, ref.x > tol)
+        assert np.max(np.abs(qfit.gamma_hat + ref.eqlin.marginals)) <= 1e-9
+
+
+def one_level_vertex(Z, y, tau):
+    """Simplex vertex and equality multipliers of one level's dual LP."""
+    res = linprog(c=-y, A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
+                  bounds=(0.0, 1.0), method="highs-ds",
+                  options=qrsolver._HIGHS_OPTIONS)
+    return res.x, res.eqlin.marginals
+
+
+def report_vertices(monkeypatch, Z, vertices):
+    """Have linprog report vertices[key] = (x, marginals) as the solution
+    of every block whose response has bytes `key`; record each block's
+    reported x."""
+    n, p = Z.shape
+    reported = {}
+    real = qrsolver.linprog
+
+    def crafted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        x = res.x.reshape(-1, n)
+        marginals = res.eqlin.marginals.reshape(-1, p)
+        for b, y in enumerate(-kwargs["c"].reshape(-1, n)):
+            if y.tobytes() in vertices:
+                x[b], marginals[b] = vertices[y.tobytes()]
+            reported[y.tobytes()] = x[b].copy()
+        res.x = x.ravel()
+        res.eqlin.marginals = marginals.ravel()
+        return res
+
+    monkeypatch.setattr(qrsolver, "linprog", crafted)
+    return reported
+
+
+def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
+    # one batch through every branch of the polish: generic blocks; tied
+    # responses at a degenerate vertex with no interior dual (integer
+    # covariate, tau 0.5) and at a vertex whose interpolation line leaves
+    # more than p rows at zero residual (tau 0.3); an interpolation system
+    # made singular by two equal design rows; and a free-row solve that
+    # leaves [0, 1]. The last two are crafted vertices, since an optimal
+    # simplex vertex reaches neither. Every block but the generic ones
+    # reports its vertex and multipliers, so that the stacked and the
+    # one-level solve polish the same input: with ties, a stacked solve may
+    # pick another, equally optimal vertex.
+    n, p = 12, 2
+    rng = np.random.default_rng(1)
+    z = rng.integers(0, 4, n).astype(float)
+    Z = np.column_stack([np.ones(n), z])
+    tied = np.array([2, 2, 1, 1, 0, 0, 2, 0, 1, 2, 1, 0], dtype=float)
+    ys = [rng.standard_normal(n) + z for _ in range(5)] + [tied, tied + 1.0]
+    taus = [0.3, 0.5, 0.7, 0.5, 0.5, 0.5, 0.3]
+    kinds = ["generic", "singular", "generic", "outside", "generic",
+             "no interior", "ties"]
+
+    twins = np.flatnonzero(z == z[0])[:2]
+    singular = np.where(np.arange(n) < 6, 1.0, 0.0)
+    singular[twins] = 0.5
+    y_out = ys[3]
+    low = [np.argmin(np.where(z == v, y_out, np.inf)) for v in np.unique(z)[:2]]
+    outside = np.where(y_out > np.median(y_out), 1.0, 0.0)
+    outside[low] = 0.5
+    vertices = {y.tobytes(): one_level_vertex(Z, y, tau)
+                for y, tau, kind in zip(ys, taus, kinds) if kind != "generic"}
+    vertices[ys[1].tobytes()] = (singular, vertices[ys[1].tobytes()][1])
+    vertices[y_out.tobytes()] = (outside, vertices[y_out.tobytes()][1])
+    reported = report_vertices(monkeypatch, Z, vertices)
+    fits = fit_levels(Z, ys, taus)
+    tol = qrsolver._BOUND_TOL
+
+    # the interpolation line through the two lowest rows leaves every
+    # other row above it, more than the (1 - tau) n the duals may carry
+    gamma = np.linalg.solve(Z[low], y_out[low])
+    at_one = y_out - Z @ gamma > 1e-9 * (1.0 + np.max(np.abs(y_out)))
+    a_free = np.linalg.solve(Z[np.sort(low)].T,
+                             0.5 * Z.sum(axis=0) - Z[at_one].sum(axis=0))
+    assert np.sum(at_one) == n - p and np.any((a_free < 0.0) | (a_free > 1.0))
+
+    for qfit, y, tau, kind in zip(fits, ys, taus, kinds):
+        x = reported[y.tobytes()]
+        interior = np.flatnonzero((x > tol) & (x < 1.0 - tol))
+        assert (interior.size == p) == (kind != "no interior")
+        if kind == "singular":
+            assert np.linalg.matrix_rank(Z[interior]) < p
+        if kind == "ties":
+            gamma = np.linalg.solve(Z[interior], y[interior])
+            assert np.sum(np.abs(y - Z @ gamma) <= 1e-9) > p
+        if kind != "generic":
+            assert np.array_equal(qfit.a_hat, np.clip(x, 0.0, 1.0))
+        assert_same_fit(qfit, fit(Z, y, tau))

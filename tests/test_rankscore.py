@@ -190,6 +190,8 @@ def test_score_intercept_only_matches_direct_formula():
     (100, (0.1, 0.5, 0.9)),
     # 27 programs of 400 observations: the column cap splits the batch
     (400, tuple(np.round(np.arange(1, 10) / 10, 1))),
+    # every program is over the column cap: one linprog call per level
+    (10_000, (0.25, 0.5, 0.75)),
 ])
 def test_score_state_fits_equal_per_level_solves(n, taus):
     ds = make_dataset(np.random.default_rng(37), n=n, beta=0.2, scale="hetero")
