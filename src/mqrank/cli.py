@@ -147,8 +147,7 @@ def cmd_test(args) -> int:
         if args.verbose:
             payload["subsets"] = [
                 {"subset": str(s), "size": s.size, "local_p": float(p)}
-                for s, p in sorted(report.local_p.items(),
-                                   key=lambda kv: (kv[0].size, kv[0].indices))]
+                for s, p in report.local_p.items()]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -162,8 +161,7 @@ def cmd_test(args) -> int:
         if args.verbose:
             writer.writerow([])
             writer.writerow(["subset", "size", "local_p"])
-            for s, p in sorted(report.local_p.items(),
-                               key=lambda kv: (kv[0].size, kv[0].indices)):
+            for s, p in report.local_p.items():
                 writer.writerow([str(s), s.size, repr(float(p))])
         text = buf.getvalue()
 
@@ -230,8 +228,7 @@ def cmd_power(args) -> int:
         return _fail(str(exc), EXIT_NUMERICAL)
 
     rows = [{"subset": str(s), "size": s.size, "power": float(p)}
-            for s, p in sorted(table.items(),
-                               key=lambda kv: (kv[0].size, kv[0].indices))]
+            for s, p in table.items()]
     if args.format == "json":
         text = json.dumps({"alpha": args.alpha, "taus": list(taus),
                            "g": list(g), "vn": args.vn,

@@ -7,6 +7,10 @@ containing the hypothesis) is decision-equivalent and strictly more
 informative than the binary rule. All 2^K - 1 subsets are enumerated
 outright: each one is a cheap quadratic form in the shared score vector,
 and the generalized local tests admit no consonance shortcut.
+
+:func:`closure_adjust` is the one closure reduction: a max over the rows
+of the subset plan's membership matrix. :func:`closed_test` applies it to
+local p-values, and the Monte Carlo engine to its local accept flags.
 """
 
 from __future__ import annotations
@@ -33,14 +37,13 @@ class ClosureReport:
         return self.local_p[HypothesisSubset(tuple(indices))]
 
 
-def closure_adjust(local_p: dict, k: int) -> np.ndarray:
-    """Adjusted p-value of hypothesis j: max local p over subsets containing j."""
-    adjusted = np.zeros(k)
-    for subset, p in local_p.items():
-        for j in subset.indices:
-            if p > adjusted[j - 1]:
-                adjusted[j - 1] = p
-    return adjusted
+def closure_adjust(local_p, member: np.ndarray) -> np.ndarray:
+    """Adjusted p-value of hypothesis j: max local p over the subsets
+    containing j, in the row order of the membership matrix ``member``
+    (:class:`~mqrank.rankscore.SubsetPlan`). On boolean accept flags it
+    tells whether any subset containing j was accepted."""
+    local_p = np.asarray(local_p)
+    return np.where(member, local_p[:, None], False).max(axis=0)
 
 
 def closed_test(state: RankScoreState, weighting: WeightingMatrix,
@@ -50,15 +53,14 @@ def closed_test(state: RankScoreState, weighting: WeightingMatrix,
     Subset evaluations are pure reads of the shared state; the report is a
     deterministic reduction independent of evaluation order.
     """
-    k = state.k
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
 
     plan = SubsetPlan(state.taus, weighting)
-    local_p = dict(zip(plan.subsets, plan.p_values(state.score, state.v_bar)))
-
-    adjusted = closure_adjust(local_p, k)
-    return ClosureReport(k=k, alpha=alpha, local_p=local_p,
+    local_p = plan.p_values(state.score, state.v_bar)
+    adjusted = closure_adjust(local_p, plan.member)
+    return ClosureReport(k=state.k, alpha=alpha,
+                         local_p=dict(zip(plan.subsets, local_p.tolist())),
                          adjusted_p=adjusted, rejected=adjusted <= alpha)
 
 

@@ -24,10 +24,12 @@ per-level mean squares.
 
 Every subset's null law is v_bar times a mixture that depends only on the
 levels and the weighting, so :class:`SubsetPlan` works it out once per
-call at unit scale: positions, weighting sub-matrix B_c and mixture
-weights for all 2^K - 1 subsets. The closure's p-values, the Monte Carlo
-engine's critical values and the analytic power are all read off that
-plan: statistics as s_c' B_c s_c / v_bar, alternative means as
+call at unit scale: positions, weighting sub-matrix B_c, mixture weights
+and the noncentrality projection for all 2^K - 1 subsets, plus their
+membership matrix. One eigendecomposition per subset (``_mixture``) gives
+both the weights and the projection. The closure's p-values, the Monte
+Carlo engine's critical values and the analytic power are all read off
+that plan: statistics as s_c' B_c s_c / v_bar, alternative means as
 g / sqrt(v_bar). The inverse weighting is B_c = inv(bridge_c), whose
 equal mixture weights select the chi-square closed form.
 """
@@ -406,10 +408,10 @@ class WeightingMatrix:
 
 
 def _check_spd(b: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise NotPositiveDefinite(f"{what} has non-finite entries")
-    asym = np.max(np.abs(b - b.T))
-    scale = max(1.0, float(np.max(np.abs(b))))
+    asym = np.abs(b - b.T).max()
+    scale = max(1.0, float(np.abs(b).max()))
     if asym > 1e-10 * scale:
         raise NotPositiveDefinite(f"{what} is not symmetric (max asymmetry {asym:.2e})")
     eig = np.linalg.eigvalsh(0.5 * (b + b.T))
@@ -446,32 +448,37 @@ def statistic_standard(state: RankScoreState,
                        p_value=chisq_upper(stat, k), subset=subset)
 
 
-def _half_power(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of an SPD matrix."""
+def _mixture(a: np.ndarray, b: np.ndarray):
+    """Eigendecomposition of a^{1/2} b a^{1/2}, the one behind every
+    generalized test: returns its eigenvalues lam (the mixture weights;
+    same spectrum as b @ a but numerically symmetric), its eigenvectors
+    and a^{-1/2}."""
     eigval, eigvec = np.linalg.eigh(a)
     if eigval[0] <= 0.0 or eigval[0] <= 1e-14 * eigval[-1]:
         raise SingularA("covariance matrix is numerically singular")
     root = np.sqrt(eigval)
-    return (eigvec * root) @ eigvec.T, (eigvec / root) @ eigvec.T
+    a_half = (eigvec * root) @ eigvec.T
+    sym = a_half @ b @ a_half
+    lam, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    if lam[0] <= 1e-12 * lam[-1]:
+        raise NotPositiveDefinite("mixture weights are not all strictly positive")
+    return lam, vecs, (eigvec / root) @ eigvec.T
 
 
 def mixture_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Eigenvalues of a^{1/2} b a^{1/2}, the mixture weights of the
-    generalized statistic; same spectrum as b @ a but numerically symmetric."""
-    a_half, _ = _half_power(a)
-    sym = a_half @ b @ a_half
-    lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    if lam[0] <= 1e-12 * lam[-1]:
-        raise NotPositiveDefinite("mixture weights are not all strictly positive")
-    return lam
+    generalized statistic."""
+    return _mixture(a, b)[0]
 
 
 def _unit_reference(taus, bridge: np.ndarray, weighting: WeightingMatrix,
                     subset: HypothesisSubset):
-    """Positions, unit-scale weighting B_c and mixture weights of one subset."""
+    """Positions, unit-scale weighting B_c, mixture weights and projection
+    vecs' bridge_c^{-1/2} of one subset."""
     pos = subset.positions()
     b_c = weighting.materialize(taus, subset)
-    return pos, b_c, mixture_weights(bridge[np.ix_(pos, pos)], b_c)
+    lam, vecs, a_inv_half = _mixture(bridge[pos][:, pos], b_c)
+    return pos, b_c, lam, vecs.T @ a_inv_half
 
 
 def _equal_weights(lam: np.ndarray) -> bool:
@@ -511,7 +518,7 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     if state.v_bar <= 1e-12:
         raise SingularProjection(
             "target covariate lies in the span of the nuisance design")
-    pos, b_c, lam = _unit_reference(state.taus, state.bridge, weighting, subset)
+    pos, b_c, lam, _ = _unit_reference(state.taus, state.bridge, weighting, subset)
     s_c = state.score[pos]
     q = max(float(s_c @ b_c @ s_c), 0.0) / state.v_bar
     scale = 1.0 if weighting.kind == "inverse" else state.v_bar
@@ -550,26 +557,26 @@ def noncentrality_generalized(g: np.ndarray, a: np.ndarray,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_spd(b, what="weighting matrix")
-    a_half, a_inv_half = _half_power(0.5 * (a + a.T))
-    sym = a_half @ b @ a_half
-    lam, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    if lam[0] <= 1e-12 * lam[-1]:
-        raise NotPositiveDefinite("mixture weights are not all strictly positive")
-    g_z = a_inv_half @ g
-    zetas = (vecs.T @ g_z) ** 2
-    return lam, zetas
+    lam, vecs, a_inv_half = _mixture(0.5 * (a + a.T), b)
+    return lam, (vecs.T @ (a_inv_half @ g)) ** 2
 
 
 class SubsetPlan:
-    """Every subset's local test at unit scale (see the module docstring):
-    positions, B_c and mixture weights lam_c, in :func:`all_subsets` order."""
+    """Every subset's local test at unit scale (see the module docstring),
+    in :func:`all_subsets` order: positions, B_c, mixture weights lam_c and
+    the projection vecs_c' bridge_c^{-1/2} taken from the eigendecomposition
+    that gives lam_c. ``member`` is the (2^K - 1) x K membership matrix,
+    True where subset i contains hypothesis j + 1."""
 
     def __init__(self, taus, weighting: WeightingMatrix):
         self.subsets = all_subsets(len(taus))
-        self.bridge = bridge_covariance(taus)
-        terms = [_unit_reference(taus, self.bridge, weighting, s)
-                 for s in self.subsets]
-        self.positions, self.matrices, self.weights = map(list, zip(*terms))
+        bridge = bridge_covariance(taus)
+        terms = [_unit_reference(taus, bridge, weighting, s) for s in self.subsets]
+        (self.positions, self.matrices, self.weights,
+         self.projections) = map(list, zip(*terms))
+        self.member = np.zeros((len(self.subsets), len(taus)), dtype=bool)
+        for row, pos in zip(self.member, self.positions):
+            row[pos] = True
 
     def statistics(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Unit-scale statistic s_c' B_c s_c / v_bar of every subset."""
@@ -579,9 +586,9 @@ class SubsetPlan:
         return np.array([max(float(score[pos] @ b_c @ score[pos]), 0.0) / v_bar
                          for pos, b_c in zip(self.positions, self.matrices)])
 
-    def p_values(self, score: np.ndarray, v_bar: float) -> list:
+    def p_values(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Null tail probability of every subset's statistic."""
-        return _upper_tails(self.weights, self.statistics(score, v_bar)).tolist()
+        return _upper_tails(self.weights, self.statistics(score, v_bar))
 
     def critical_values(self, alpha: float) -> np.ndarray:
         """Unit-scale level-alpha critical value of every subset; subsets with
@@ -604,10 +611,10 @@ class SubsetPlan:
         """Rejection probability of every subset test when the score has
         mean g and covariance v_bar * bridge."""
         g_unit = np.asarray(g, dtype=float) / np.sqrt(v_bar)
-        weights, zetas = zip(*(
-            noncentrality_generalized(g_unit[pos], self.bridge[np.ix_(pos, pos)], b_c)
-            for pos, b_c in zip(self.positions, self.matrices)))
-        return _upper_tails(weights, self.critical_values(alpha), zetas).tolist()
+        zetas = [(proj @ g_unit[pos]) ** 2
+                 for pos, proj in zip(self.positions, self.projections)]
+        return _upper_tails(self.weights, self.critical_values(alpha),
+                            zetas).tolist()
 
 
 def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,

@@ -6,8 +6,12 @@ matter how replications are scheduled. Rejection decisions inside the
 engine avoid per-replication numerical inversion: each weighting's
 :class:`~mqrank.rankscore.SubsetPlan` gives every subset's unit-scale
 critical value once per run, and a replication rejects a subset when its
-unit-scale statistic s_c' B_c s_c / v_bar reaches that value. Failed
-replications are counted by exception class.
+unit-scale statistic s_c' B_c s_c / v_bar reaches that value. The
+closed decisions are :func:`~mqrank.multiplicity.closure_adjust` over the
+plan's membership matrix, the same reduction as
+:func:`~mqrank.multiplicity.closed_test`. Each replication fills one dict
+of decisions, which is tallied only once the whole replication has
+succeeded; failed replications are counted by exception class.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ import numpy as np
 from .datamodel import Dataset, QuantileSpec, all_subsets, validate_spec
 from .distributions import chisq_upper
 from .exceptions import MqrankError, SingularCovariance
-from .multiplicity import bonferroni, holm
+from .multiplicity import bonferroni, closure_adjust, holm
 from .qrsolver import fit_levels
 from .rankscore import (SubsetPlan, WeightingMatrix, bridge_covariance,
                         fit_with_sparsity, score_state)
 
 DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
+# per-level methods: adjusted p-values from the K single-level p-values
+_SINGLE_LEVEL = {"bonferroni": bonferroni, "holm": holm, "raw": np.asarray}
 
 # shape parameter of the skew-normal error and its centering shift
 _SKEW_SHAPE = 2.2
@@ -224,11 +230,6 @@ def _weighting_name(w: WeightingMatrix) -> str:
     return w.kind
 
 
-def _closed_decisions(local_reject: np.ndarray, containing: list) -> np.ndarray:
-    """Hypothesis j is rejected when every subset containing it is."""
-    return np.array([bool(np.all(local_reject[idx])) for idx in containing])
-
-
 def run_monte_carlo(scenario: Scenario,
                     methods: tuple = ("closed", "bonferroni", "holm", "raw"),
                     weightings=("identity",),
@@ -245,7 +246,8 @@ def run_monte_carlo(scenario: Scenario,
     Replications that raise are either
     recorded and excluded (`on_error="record"`) or re-raised
     (`on_error="raise"`); acceptance-grade runs must end with a zero error
-    count.
+    count. A failed replication adds to no tally, whatever step it failed
+    in, so every rate is over the ``replications_used`` that succeeded.
     """
     for m in methods:
         if m not in METHOD_NAMES:
@@ -264,39 +266,30 @@ def run_monte_carlo(scenario: Scenario,
     spec = validate_spec(QuantileSpec(scenario.taus, null_values))
     taus = spec.taus
     subsets = all_subsets(k)
-    n_subsets = len(subsets)
-    containing = [np.array([i for i, s in enumerate(subsets) if s.contains(j + 1)])
-                  for j in range(k)]
     tau_var = np.array([t * (1.0 - t) for t in taus])
 
     want_closed = "closed" in methods
     want_wald = "wald" in methods
+    singles = [m for m in _SINGLE_LEVEL if m in methods]
     plans = [SubsetPlan(taus, w) for w in weightings]
     crits = [plan.critical_values(alpha) for plan in plans]
 
-    hyp_counts = {}
-    fw_counts = {}
-    for name in w_names:
-        if want_closed:
-            hyp_counts[f"closed:{name}"] = np.zeros(k, dtype=int)
-            fw_counts[f"closed:{name}"] = 0
-    for m in ("bonferroni", "holm", "raw"):
-        if m in methods:
-            hyp_counts[m] = np.zeros(k, dtype=int)
-            fw_counts[m] = 0
-    if want_wald:
-        hyp_counts["wald"] = np.zeros(k, dtype=int)
-        fw_counts["wald"] = 0
-    subset_counts = {f"rankscore:{name}": np.zeros(n_subsets, dtype=int)
-                     for name in w_names}
-    if want_wald:
-        subset_counts["wald"] = np.zeros(n_subsets, dtype=int)
+    hyp_names = ([f"closed:{name}" for name in w_names if want_closed]
+                 + singles + (["wald"] if want_wald else []))
+    subset_names = ([f"rankscore:{name}" for name in w_names]
+                    + (["wald"] if want_wald else []))
+    hyp_counts = {name: np.zeros(k, dtype=int) for name in hyp_names}
+    fw_counts = dict.fromkeys(hyp_names, 0)
+    subset_counts = {name: np.zeros(len(subsets), dtype=int)
+                     for name in subset_names}
 
     used = 0
     error_count = 0
     error_messages = []
     error_classes = {}
     for rep in range(scenario.replications):
+        rejected = {}       # per-hypothesis decisions of each method
+        local = {}          # per-subset decisions of each local test
         try:
             dataset = generate(scenario, rep)
             state = score_state(dataset, spec)
@@ -309,32 +302,17 @@ def run_monte_carlo(scenario: Scenario,
 
             for plan, crit, name in zip(plans, crits, w_names):
                 local_reject = plan.statistics(score, v_bar) >= crit
-                subset_counts[f"rankscore:{name}"] += local_reject
+                local[f"rankscore:{name}"] = local_reject
                 if want_closed:
-                    decisions = _closed_decisions(local_reject, containing)
-                    hyp_counts[f"closed:{name}"] += decisions
-                    fw_counts[f"closed:{name}"] += bool(decisions.any())
-
-            if "bonferroni" in methods:
-                rej = bonferroni(single_p) <= alpha
-                hyp_counts["bonferroni"] += rej
-                fw_counts["bonferroni"] += bool(rej.any())
-            if "holm" in methods:
-                rej = holm(single_p) <= alpha
-                hyp_counts["holm"] += rej
-                fw_counts["holm"] += bool(rej.any())
-            if "raw" in methods:
-                rej = single_p <= alpha
-                hyp_counts["raw"] += rej
-                fw_counts["raw"] += bool(rej.any())
+                    rejected[f"closed:{name}"] = ~closure_adjust(~local_reject,
+                                                                 plan.member)
+            for m in singles:
+                rejected[m] = _SINGLE_LEVEL[m](single_p) <= alpha
 
             if want_wald:
                 wald_p = wald_test(dataset, spec)
-                wald_reject = np.array([wald_p[s] <= alpha for s in subsets])
-                subset_counts["wald"] += wald_reject
-                singles = wald_reject[:k]
-                hyp_counts["wald"] += singles
-                fw_counts["wald"] += bool(singles.any())
+                local["wald"] = np.array([wald_p[s] <= alpha for s in subsets])
+                rejected["wald"] = local["wald"][:k]
         except MqrankError as exc:
             if on_error == "raise":
                 raise
@@ -344,6 +322,11 @@ def run_monte_carlo(scenario: Scenario,
             if len(error_messages) < 8:
                 error_messages.append(f"replication {rep}: {exc}")
             continue
+        for name, rej in rejected.items():
+            hyp_counts[name] += rej
+            fw_counts[name] += bool(rej.any())
+        for name, rej in local.items():
+            subset_counts[name] += rej
         used += 1
 
     denom = max(used, 1)
@@ -351,7 +334,7 @@ def run_monte_carlo(scenario: Scenario,
                              for name, counts in hyp_counts.items()}
     familywise = {name: c / denom for name, c in fw_counts.items()}
     subset_rejections = {
-        name: {subsets[i]: counts[i] / denom for i in range(n_subsets)}
+        name: {sub: c / denom for sub, c in zip(subsets, counts)}
         for name, counts in subset_counts.items()}
 
     return MonteCarloReport(scenario=scenario, alpha=alpha, methods=tuple(methods),

@@ -6,6 +6,7 @@ import pytest
 
 from mqrank import simulation
 from mqrank.cli import main
+from mqrank.datamodel import all_subsets
 from mqrank.exceptions import MqrankError
 
 
@@ -295,3 +296,24 @@ def test_cmd_power_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "subset,size,power"
     assert len(lines) == 4
+
+
+def test_subset_rows_follow_all_subsets_order(data_csv, capsys):
+    order = [str(s) for s in all_subsets(3)]
+    test_args = ("test", "--input", str(data_csv), "--response", "resp",
+                 "--target", "xcov", "--nuisance", "zcov",
+                 "--taus", "0.25,0.5,0.75", "--verbose")
+    assert run_cli(*test_args, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["subset"] for r in payload["subsets"]] == order
+    assert run_cli(*test_args, "--format", "csv") == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert [r[0] for r in rows[-len(order):]] == order
+
+    power_args = ("power", "--taus", "0.25,0.5,0.75", "--g", "0.5,0.2,0.9")
+    assert run_cli(*power_args, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["subset"] for r in payload["power"]] == order
+    assert run_cli(*power_args, "--format", "csv") == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert [r[0] for r in rows[1:]] == order

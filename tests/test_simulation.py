@@ -7,6 +7,7 @@ from mqrank import (HypothesisSubset, MqrankError, QuantileSpec, Scenario,
                     WeightingMatrix, bridge_covariance, closed_test,
                     estimate_sparsity, fit, generate, run_monte_carlo,
                     score_state, wald_test)
+from mqrank.exceptions import SingularCovariance
 from mqrank.simulation import (load_scenario, parse_scenario_text,
                                target_coefficients, wald_covariance)
 
@@ -243,6 +244,31 @@ def test_run_monte_carlo_records_errors(monkeypatch):
     calls["i"] = 0
     with pytest.raises(MqrankError):
         run_monte_carlo(sc, methods=("raw",), on_error="raise")
+
+
+def test_failed_replication_adds_to_no_tally(monkeypatch):
+    # wald_test runs last in a replication: when it raises, the rank-score,
+    # closed and raw decisions of that replication must not be counted
+    sc = Scenario(dgp="null_normal", beta=2.0, n=100, taus=(0.25, 0.5, 0.75),
+                  replications=9, seed=1)
+    real = sim.wald_test
+    calls = {"i": 0}
+
+    def flaky(dataset, spec):
+        calls["i"] += 1
+        if calls["i"] % 3 == 0:
+            raise SingularCovariance("synthetic failure")
+        return real(dataset, spec)
+
+    monkeypatch.setattr(sim, "wald_test", flaky)
+    rep = run_monte_carlo(sc, methods=("closed", "raw", "wald"))
+    assert rep.replications_used == 6
+    assert rep.error_classes == {"SingularCovariance": 3}
+    for name, rates in rep.hypothesis_rejections.items():
+        assert rates.tolist() == [1.0] * 3, name
+    assert rep.familywise == dict.fromkeys(rep.hypothesis_rejections, 1.0)
+    for name, table in rep.subset_rejections.items():
+        assert set(table.values()) == {1.0}, name
 
 
 def test_run_monte_carlo_rejects_unknown_method():
