@@ -12,12 +12,20 @@ plan's membership matrix, the same reduction as
 :func:`~mqrank.multiplicity.closed_test`. Each replication fills one dict
 of decisions, which is tallied only once the whole replication has
 succeeded; failed replications are counted by exception class.
+
+The engine splits the replications into contiguous ranges, one per CPU of
+the process's affinity mask, and tallies each range in a forked worker
+that inherits the plans and critical values. Workers send back integer
+counts only, which are merged in replication order and divided once, so
+a report is the same bits for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +41,8 @@ DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
 # per-level methods: adjusted p-values from the K single-level p-values
 _SINGLE_LEVEL = {"bonferroni": bonferroni, "holm": holm, "raw": np.asarray}
+# failure messages a Monte Carlo report keeps, the first in replication order
+_KEPT_MESSAGES = 8
 
 # shape parameter of the skew-normal error and its centering shift
 _SKEW_SHAPE = 2.2
@@ -230,6 +240,159 @@ def _weighting_name(w: WeightingMatrix) -> str:
     return w.kind
 
 
+@dataclass(frozen=True)
+class _Job:
+    """What every replication of one run shares, built once per run."""
+
+    scenario: Scenario
+    spec: QuantileSpec
+    alpha: float
+    on_error: str
+    tests: tuple        # (weighting name, SubsetPlan, critical values)
+    closed: bool
+    singles: tuple
+    wald: bool
+    subsets: tuple
+
+
+def _replicate(job: _Job, rep: int):
+    """Replication ``rep``'s per-hypothesis decisions of each method and
+    per-subset decisions of each local test; raises where it fails."""
+    rejected = {}
+    local = {}
+    dataset = generate(job.scenario, rep)
+    state = score_state(dataset, job.spec)
+    v_bar = state.v_bar
+    score = state.score
+    taus = job.spec.taus
+
+    single_p = np.array([
+        chisq_upper(score[j] ** 2 / (v_bar * tau * (1.0 - tau)), 1)
+        for j, tau in enumerate(taus)])
+
+    for name, plan, crit in job.tests:
+        local_reject = plan.statistics(score, v_bar) >= crit
+        local[f"rankscore:{name}"] = local_reject
+        if job.closed:
+            rejected[f"closed:{name}"] = ~closure_adjust(~local_reject,
+                                                         plan.member)
+    for m in job.singles:
+        rejected[m] = _SINGLE_LEVEL[m](single_p) <= job.alpha
+
+    if job.wald:
+        wald_p = wald_test(dataset, job.spec)
+        local["wald"] = np.array([wald_p[s] <= job.alpha for s in job.subsets])
+        rejected["wald"] = local["wald"][:len(taus)]
+    return rejected, local
+
+
+@dataclass
+class _Tally:
+    """Integer counts over a contiguous range of replications.
+
+    ``failed_at`` is the replication that ended the range with a failure
+    that is not to be recorded; the caller replays it to raise.
+    """
+
+    hypotheses: dict
+    familywise: dict
+    subsets: dict
+    used: int = 0
+    error_messages: list = field(default_factory=list)
+    error_classes: Counter = field(default_factory=Counter)
+    failed_at: int | None = None
+
+    @classmethod
+    def empty(cls, job: _Job) -> "_Tally":
+        wald = ["wald"] if job.wald else []
+        methods = ([f"closed:{name}" for name, _, _ in job.tests if job.closed]
+                   + list(job.singles) + wald)
+        tests = [f"rankscore:{name}" for name, _, _ in job.tests] + wald
+        k = len(job.spec.taus)
+        return cls(hypotheses={m: np.zeros(k, dtype=int) for m in methods},
+                   familywise=dict.fromkeys(methods, 0),
+                   subsets={t: np.zeros(len(job.subsets), dtype=int)
+                            for t in tests})
+
+    def merge(self, later: "_Tally") -> None:
+        """Add the tally of the range that follows this one."""
+        for name, counts in later.hypotheses.items():
+            self.hypotheses[name] += counts
+            self.familywise[name] += later.familywise[name]
+        for name, counts in later.subsets.items():
+            self.subsets[name] += counts
+        self.used += later.used
+        self.error_messages = (self.error_messages
+                               + later.error_messages)[:_KEPT_MESSAGES]
+        self.error_classes.update(later.error_classes)
+
+
+def _tally_range(job: _Job, start: int, stop: int) -> _Tally:
+    """Tally replications start, ..., stop - 1, stopping at the first
+    failure that ``job.on_error`` does not record."""
+    part = _Tally.empty(job)
+    for rep in range(start, stop):
+        try:
+            rejected, local = _replicate(job, rep)
+        except Exception as exc:
+            if job.on_error == "raise" or not isinstance(exc, MqrankError):
+                part.failed_at = rep
+                break
+            part.error_classes[type(exc).__name__] += 1
+            if len(part.error_messages) < _KEPT_MESSAGES:
+                part.error_messages.append(f"replication {rep}: {exc}")
+            continue
+        for name, rej in rejected.items():
+            part.hypotheses[name] += rej
+            part.familywise[name] += bool(rej.any())
+        for name, rej in local.items():
+            part.subsets[name] += rej
+        part.used += 1
+    return part
+
+
+def _worker_count(replications: int) -> int:
+    """The CPUs this process may run on, at most one per replication."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        cpus = 1
+    return min(cpus, replications)
+
+
+_forked_job = None      # the run a forked worker serves, set by _adopt
+
+
+def _adopt(job: _Job) -> None:
+    global _forked_job
+    _forked_job = job
+
+
+def _tally_forked(bounds) -> _Tally:
+    return _tally_range(_forked_job, *bounds)
+
+
+def _tally_ranges(job: _Job, ranges: list) -> list:
+    """The ranges' tallies, in order: one forked worker per range, or all
+    in this process where there is one range, no fork, or this process is
+    itself a daemonic worker (which may not have children)."""
+    # imported here, not on the import path of every command (about 10 ms)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if (len(ranges) == 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [_tally_range(job, *bounds) for bounds in ranges]
+    # workers inherit the job through fork; only the ranges are sent, and
+    # only integer tallies come back. A worker that dies raises
+    # BrokenProcessPool here instead of leaving its range unanswered.
+    with ProcessPoolExecutor(len(ranges),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(job,)) as pool:
+        return list(pool.map(_tally_forked, ranges))
+
+
 def run_monte_carlo(scenario: Scenario,
                     methods: tuple = ("closed", "bonferroni", "holm", "raw"),
                     weightings=("identity",),
@@ -248,6 +411,15 @@ def run_monte_carlo(scenario: Scenario,
     (`on_error="raise"`); acceptance-grade runs must end with a zero error
     count. A failed replication adds to no tally, whatever step it failed
     in, so every rate is over the ``replications_used`` that succeeded.
+
+    The replications are split into contiguous ranges, one per CPU of
+    this process's affinity mask, and each range runs in a forked worker
+    (``taskset -c 0`` runs them all in this process). The report is the
+    same for any number of workers: counts are merged in replication
+    order, ``error_messages`` keeps the first eight, and a failure that is
+    re-raised, or that is not an ``MqrankError``, is replayed in this
+    process so the caller gets the original exception. A worker that dies
+    raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     for m in methods:
         if m not in METHOD_NAMES:
@@ -256,7 +428,6 @@ def run_monte_carlo(scenario: Scenario,
         raise ValueError("on_error must be 'record' or 'raise'")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    k = len(scenario.taus)
 
     weightings = tuple(
         WeightingMatrix.parse(w) if isinstance(w, str) else w for w in weightings)
@@ -264,87 +435,39 @@ def run_monte_carlo(scenario: Scenario,
     if len(set(w_names)) != len(w_names):
         raise ValueError(f"duplicate weighting names in {w_names}")
     spec = validate_spec(QuantileSpec(scenario.taus, null_values))
-    taus = spec.taus
-    subsets = all_subsets(k)
-    tau_var = np.array([t * (1.0 - t) for t in taus])
+    plans = [SubsetPlan(spec.taus, w) for w in weightings]
+    job = _Job(
+        scenario=scenario, spec=spec, alpha=alpha, on_error=on_error,
+        tests=tuple((name, plan, plan.critical_values(alpha))
+                    for name, plan in zip(w_names, plans)),
+        closed="closed" in methods, wald="wald" in methods,
+        singles=tuple(m for m in _SINGLE_LEVEL if m in methods),
+        subsets=tuple(all_subsets(len(spec.taus))))
 
-    want_closed = "closed" in methods
-    want_wald = "wald" in methods
-    singles = [m for m in _SINGLE_LEVEL if m in methods]
-    plans = [SubsetPlan(taus, w) for w in weightings]
-    crits = [plan.critical_values(alpha) for plan in plans]
+    reps = scenario.replications
+    workers = _worker_count(reps)
+    cuts = [reps * i // workers for i in range(workers + 1)]
+    tally = _Tally.empty(job)
+    for part in _tally_ranges(job, list(zip(cuts[:-1], cuts[1:]))):
+        if part.failed_at is not None:
+            _replicate(job, part.failed_at)     # raises the original error
+            raise RuntimeError(f"replication {part.failed_at} raised in a "
+                               "worker process but not when run again")
+        tally.merge(part)
 
-    hyp_names = ([f"closed:{name}" for name in w_names if want_closed]
-                 + singles + (["wald"] if want_wald else []))
-    subset_names = ([f"rankscore:{name}" for name in w_names]
-                    + (["wald"] if want_wald else []))
-    hyp_counts = {name: np.zeros(k, dtype=int) for name in hyp_names}
-    fw_counts = dict.fromkeys(hyp_names, 0)
-    subset_counts = {name: np.zeros(len(subsets), dtype=int)
-                     for name in subset_names}
-
-    used = 0
-    error_count = 0
-    error_messages = []
-    error_classes = {}
-    for rep in range(scenario.replications):
-        rejected = {}       # per-hypothesis decisions of each method
-        local = {}          # per-subset decisions of each local test
-        try:
-            dataset = generate(scenario, rep)
-            state = score_state(dataset, spec)
-            v_bar = state.v_bar
-            score = state.score
-
-            single_p = np.array([
-                chisq_upper(score[j] ** 2 / (v_bar * tau_var[j]), 1)
-                for j in range(k)])
-
-            for plan, crit, name in zip(plans, crits, w_names):
-                local_reject = plan.statistics(score, v_bar) >= crit
-                local[f"rankscore:{name}"] = local_reject
-                if want_closed:
-                    rejected[f"closed:{name}"] = ~closure_adjust(~local_reject,
-                                                                 plan.member)
-            for m in singles:
-                rejected[m] = _SINGLE_LEVEL[m](single_p) <= alpha
-
-            if want_wald:
-                wald_p = wald_test(dataset, spec)
-                local["wald"] = np.array([wald_p[s] <= alpha for s in subsets])
-                rejected["wald"] = local["wald"][:k]
-        except MqrankError as exc:
-            if on_error == "raise":
-                raise
-            error_count += 1
-            cls = type(exc).__name__
-            error_classes[cls] = error_classes.get(cls, 0) + 1
-            if len(error_messages) < 8:
-                error_messages.append(f"replication {rep}: {exc}")
-            continue
-        for name, rej in rejected.items():
-            hyp_counts[name] += rej
-            fw_counts[name] += bool(rej.any())
-        for name, rej in local.items():
-            subset_counts[name] += rej
-        used += 1
-
-    denom = max(used, 1)
-    hypothesis_rejections = {name: counts / denom
-                             for name, counts in hyp_counts.items()}
-    familywise = {name: c / denom for name, c in fw_counts.items()}
-    subset_rejections = {
-        name: {sub: c / denom for sub, c in zip(subsets, counts)}
-        for name, counts in subset_counts.items()}
-
-    return MonteCarloReport(scenario=scenario, alpha=alpha, methods=tuple(methods),
-                            weightings=w_names, replications_used=used,
-                            error_count=error_count,
-                            error_messages=error_messages,
-                            error_classes=error_classes,
-                            hypothesis_rejections=hypothesis_rejections,
-                            familywise=familywise,
-                            subset_rejections=subset_rejections)
+    denom = max(tally.used, 1)
+    return MonteCarloReport(
+        scenario=scenario, alpha=alpha, methods=tuple(methods),
+        weightings=w_names, replications_used=tally.used,
+        error_count=sum(tally.error_classes.values()),
+        error_messages=tally.error_messages,
+        error_classes=dict(tally.error_classes),
+        hypothesis_rejections={name: counts / denom
+                               for name, counts in tally.hypotheses.items()},
+        familywise={name: c / denom for name, c in tally.familywise.items()},
+        subset_rejections={
+            name: {sub: c / denom for sub, c in zip(job.subsets, counts)}
+            for name, counts in tally.subsets.items()})
 
 
 # --- scenario files ------------------------------------------------------------

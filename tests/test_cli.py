@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mqrank
 from mqrank import simulation
 from mqrank.cli import main
 from mqrank.datamodel import all_subsets
@@ -233,6 +238,26 @@ def test_cmd_simulate_all_replications_failed_exit_3(monkeypatch, tmp_path,
     assert code == 3
     assert "synthetic failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity masks")
+def test_cmd_simulate_output_independent_of_cpu_count():
+    # one CPU in the affinity mask runs every replication in-process;
+    # the full mask forks a worker per CPU
+    src = Path(mqrank.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [sys.executable, "-m", "mqrank.cli", "simulate", "--scenario",
+            "null_calibration", "--replications", "20", "--format", "json"]
+    one_cpu = min(os.sched_getaffinity(0))
+    runs = [subprocess.run(argv, env=env, capture_output=True, preexec_fn=pin,
+                           timeout=300)
+            for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None)]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["replications_used"] == 20
 
 
 def test_cmd_simulate_unknown_dgp(tmp_path, capsys):

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, skew
@@ -7,7 +12,9 @@ from mqrank import (HypothesisSubset, MqrankError, QuantileSpec, Scenario,
                     WeightingMatrix, bridge_covariance, closed_test,
                     estimate_sparsity, fit, generate, run_monte_carlo,
                     score_state, wald_test)
-from mqrank.exceptions import SingularCovariance
+from mqrank.exceptions import (BandwidthInfeasible, SingularCovariance,
+                               SingularProjection, ValidationError,
+                               ValidationIssue)
 from mqrank.simulation import (load_scenario, parse_scenario_text,
                                target_coefficients, wald_covariance)
 
@@ -221,17 +228,31 @@ def test_run_monte_carlo_singleton_pvalues_weighting_free():
         assert len(set(vals.values())) == 1
 
 
+def _replication_of(sc):
+    """Map a generated dataset back to its replication index, so a stub
+    fails on the same replications whichever process runs them."""
+    index = {generate(sc, r).y.tobytes(): r for r in range(sc.replications)}
+    return lambda dataset: index[dataset.y.tobytes()]
+
+
+def _failing_on(sc, real, failures):
+    """Stand-in for ``real`` that raises a new ``failures[r]()`` on
+    replication r."""
+    replication = _replication_of(sc)
+
+    def stub(dataset, spec):
+        r = replication(dataset)
+        if r in failures:
+            raise failures[r]()
+        return real(dataset, spec)
+    return stub
+
+
 def test_run_monte_carlo_records_errors(monkeypatch):
     sc = Scenario(dgp="null_normal", n=100, taus=(0.5,),
                   replications=10, seed=47)
-    real = sim.score_state
-    calls = {"i": 0}
-
-    def flaky(dataset, spec):
-        calls["i"] += 1
-        if calls["i"] % 3 == 0:
-            raise MqrankError("synthetic failure")
-        return real(dataset, spec)
+    flaky = _failing_on(sc, sim.score_state, dict.fromkeys(
+        (2, 5, 8), lambda: MqrankError("synthetic failure")))
 
     monkeypatch.setattr(sim, "score_state", flaky)
     rep = run_monte_carlo(sc, methods=("raw",), on_error="record")
@@ -241,7 +262,6 @@ def test_run_monte_carlo_records_errors(monkeypatch):
     assert rep.error_classes == {"MqrankError": 3}
     assert rep.to_dict()["error_classes"] == {"MqrankError": 3}
 
-    calls["i"] = 0
     with pytest.raises(MqrankError):
         run_monte_carlo(sc, methods=("raw",), on_error="raise")
 
@@ -251,14 +271,8 @@ def test_failed_replication_adds_to_no_tally(monkeypatch):
     # closed and raw decisions of that replication must not be counted
     sc = Scenario(dgp="null_normal", beta=2.0, n=100, taus=(0.25, 0.5, 0.75),
                   replications=9, seed=1)
-    real = sim.wald_test
-    calls = {"i": 0}
-
-    def flaky(dataset, spec):
-        calls["i"] += 1
-        if calls["i"] % 3 == 0:
-            raise SingularCovariance("synthetic failure")
-        return real(dataset, spec)
+    flaky = _failing_on(sc, sim.wald_test, dict.fromkeys(
+        (2, 5, 8), lambda: SingularCovariance("synthetic failure")))
 
     monkeypatch.setattr(sim, "wald_test", flaky)
     rep = run_monte_carlo(sc, methods=("closed", "raw", "wald"))
@@ -269,6 +283,91 @@ def test_failed_replication_adds_to_no_tally(monkeypatch):
     assert rep.familywise == dict.fromkeys(rep.hypothesis_rejections, 1.0)
     for name, table in rep.subset_rejections.items():
         assert set(table.values()) == {1.0}, name
+
+
+def test_report_identical_for_any_worker_count(monkeypatch):
+    # nine failures of two classes over 11 replications: every range of
+    # every split below holds some, and only the first eight are kept
+    sc = Scenario(dgp="hetero_normal", beta=0.4, n=100, taus=(0.25, 0.5, 0.75),
+                  replications=11, seed=53)
+    failures = {r: (lambda r=r, cls=cls: cls(f"synthetic failure {r}"))
+                for r, cls in zip((0, 1, 3, 4, 5, 7, 8, 9, 10),
+                                  [SingularProjection, BandwidthInfeasible] * 5)}
+    monkeypatch.setattr(sim, "score_state",
+                        _failing_on(sc, sim.score_state, failures))
+    reports = []
+    for workers in (1, 2, 3, 12):
+        monkeypatch.setattr(sim, "_worker_count", lambda reps, w=workers: w)
+        reports.append(run_monte_carlo(
+            sc, methods=("closed", "holm", "raw"),
+            weightings=("identity", "inverse")).to_dict())
+        assert multiprocessing.active_children() == []
+    assert all(rep == reports[0] for rep in reports[1:])
+    assert reports[0]["replications_used"] == 2
+    assert reports[0]["error_messages"] == [
+        f"replication {r}: synthetic failure {r}" for r in (0, 1, 3, 4, 5, 7, 8, 9)]
+    assert reports[0]["error_classes"] == {"SingularProjection": 5,
+                                           "BandwidthInfeasible": 4}
+
+
+def test_raised_failure_is_replayed_in_caller(monkeypatch):
+    # a worker stops at its failing replication and the caller runs that
+    # replication again, so the caller sees the original exception; a
+    # pickled ValidationError would not rebuild, since it takes issues
+    sc = Scenario(dgp="null_normal", n=100, taus=(0.25, 0.75),
+                  replications=9, seed=54)
+    issues = [ValidationIssue("FirstCode", "first issue"),
+              ValidationIssue("SecondCode", "second issue")]
+    monkeypatch.setattr(sim, "score_state", _failing_on(
+        sc, sim.score_state, {8: lambda: ValidationError(issues)}))
+    raised = []
+    for workers in (1, 3):
+        monkeypatch.setattr(sim, "_worker_count", lambda reps, w=workers: w)
+        with pytest.raises(ValidationError) as info:
+            run_monte_carlo(sc, methods=("raw",), on_error="raise")
+        raised.append(info.value)
+        assert multiprocessing.active_children() == []
+    serial, parallel = raised
+    assert type(parallel) is type(serial) is ValidationError
+    assert str(parallel) == str(serial)
+    assert parallel.codes == serial.codes == ["FirstCode", "SecondCode"]
+
+
+def test_dead_worker_raises_instead_of_hanging(monkeypatch):
+    # a worker killed mid-run (say, by the kernel's out-of-memory killer)
+    # fails the call; its range is not silently dropped or waited on
+    sc = Scenario(dgp="null_normal", n=100, taus=(0.5,), replications=4, seed=56)
+    real = sim.score_state
+
+    def killed_in_worker(dataset, spec):
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(dataset, spec)
+
+    monkeypatch.setattr(sim, "score_state", killed_in_worker)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 2)
+    with pytest.raises(BrokenProcessPool):
+        run_monte_carlo(sc, methods=("raw",))
+    assert multiprocessing.active_children() == []
+
+
+def _report_in_daemon(sc):
+    assert multiprocessing.current_process().daemon
+    return run_monte_carlo(sc, methods=("closed", "raw")).to_dict()
+
+
+def test_daemonic_caller_runs_replications_in_process(monkeypatch):
+    # pool workers are daemonic and may not fork workers of their own
+    sc = Scenario(dgp="hetero_normal", beta=0.4, n=100, taus=(0.25, 0.75),
+                  replications=6, seed=55)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 1)
+    serial = run_monte_carlo(sc, methods=("closed", "raw")).to_dict()
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_daemon = pool.apply_async(_report_in_daemon, (sc,)).get(timeout=300)
+        pool.close()
+        pool.join()
+    assert in_daemon == serial
 
 
 def test_run_monte_carlo_rejects_unknown_method():
