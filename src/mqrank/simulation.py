@@ -14,18 +14,20 @@ of decisions, which is tallied only once the whole replication has
 succeeded; failed replications are counted by exception class.
 
 The engine splits the replications into contiguous ranges, one per CPU of
-the process's affinity mask, and tallies each range in a forked worker
-that inherits the plans and critical values. Workers send back integer
-counts only, which are merged in replication order and divided once, so
-a report is the same bits for any number of CPUs.
+the process's affinity mask, and runs each range in a forked worker that
+inherits the plans and critical values. Workers send back each
+replication's decisions or failure, and the warnings raised; the caller
+counts the replications in order and divides once, so a report is the
+same bits for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,69 +288,27 @@ def _replicate(job: _Job, rep: int):
     return rejected, local
 
 
-@dataclass
-class _Tally:
-    """Integer counts over a contiguous range of replications.
+def _run_range(job: _Job, start: int, stop: int):
+    """The outcomes of replications start, ..., stop - 1 in order, and the
+    warnings they raised as (category, message, filename, lineno).
 
-    ``failed_at`` is the replication that ended the range with a failure
-    that is not to be recorded; the caller replays it to raise.
+    An outcome is a replication's ``(rejected, local)`` decisions, the
+    ``(class name, message)`` of a failure that ``job.on_error`` records,
+    or the index of a failure that it does not record, which ends the
+    range; the caller replays that one to raise.
     """
-
-    hypotheses: dict
-    familywise: dict
-    subsets: dict
-    used: int = 0
-    error_messages: list = field(default_factory=list)
-    error_classes: Counter = field(default_factory=Counter)
-    failed_at: int | None = None
-
-    @classmethod
-    def empty(cls, job: _Job) -> "_Tally":
-        wald = ["wald"] if job.wald else []
-        methods = ([f"closed:{name}" for name, _, _ in job.tests if job.closed]
-                   + list(job.singles) + wald)
-        tests = [f"rankscore:{name}" for name, _, _ in job.tests] + wald
-        k = len(job.spec.taus)
-        return cls(hypotheses={m: np.zeros(k, dtype=int) for m in methods},
-                   familywise=dict.fromkeys(methods, 0),
-                   subsets={t: np.zeros(len(job.subsets), dtype=int)
-                            for t in tests})
-
-    def merge(self, later: "_Tally") -> None:
-        """Add the tally of the range that follows this one."""
-        for name, counts in later.hypotheses.items():
-            self.hypotheses[name] += counts
-            self.familywise[name] += later.familywise[name]
-        for name, counts in later.subsets.items():
-            self.subsets[name] += counts
-        self.used += later.used
-        self.error_messages = (self.error_messages
-                               + later.error_messages)[:_KEPT_MESSAGES]
-        self.error_classes.update(later.error_classes)
-
-
-def _tally_range(job: _Job, start: int, stop: int) -> _Tally:
-    """Tally replications start, ..., stop - 1, stopping at the first
-    failure that ``job.on_error`` does not record."""
-    part = _Tally.empty(job)
-    for rep in range(start, stop):
-        try:
-            rejected, local = _replicate(job, rep)
-        except Exception as exc:
-            if job.on_error == "raise" or not isinstance(exc, MqrankError):
-                part.failed_at = rep
-                break
-            part.error_classes[type(exc).__name__] += 1
-            if len(part.error_messages) < _KEPT_MESSAGES:
-                part.error_messages.append(f"replication {rep}: {exc}")
-            continue
-        for name, rej in rejected.items():
-            part.hypotheses[name] += rej
-            part.familywise[name] += bool(rej.any())
-        for name, rej in local.items():
-            part.subsets[name] += rej
-        part.used += 1
-    return part
+    outcomes = []
+    with warnings.catch_warnings(record=True) as caught:
+        for rep in range(start, stop):
+            try:
+                outcomes.append(_replicate(job, rep))
+            except Exception as exc:
+                if job.on_error == "raise" or not isinstance(exc, MqrankError):
+                    outcomes.append(rep)
+                    break
+                outcomes.append((type(exc).__name__, f"replication {rep}: {exc}"))
+    return outcomes, [(w.category, str(w.message), w.filename, w.lineno)
+                      for w in caught]
 
 
 def _worker_count(replications: int) -> int:
@@ -368,14 +328,15 @@ def _adopt(job: _Job) -> None:
     _forked_job = job
 
 
-def _tally_forked(bounds) -> _Tally:
-    return _tally_range(_forked_job, *bounds)
+def _run_forked(bounds):
+    return _run_range(_forked_job, *bounds)
 
 
-def _tally_ranges(job: _Job, ranges: list) -> list:
-    """The ranges' tallies, in order: one forked worker per range, or all
-    in this process where there is one range, no fork, or this process is
-    itself a daemonic worker (which may not have children)."""
+def _run_ranges(job: _Job, ranges: list) -> list:
+    """Each range's outcomes and warnings, in order: one forked worker per
+    range, or all in this process where there is one range, no fork, or
+    this process is itself a daemonic worker (which may not have
+    children)."""
     # imported here, not on the import path of every command (about 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -383,14 +344,15 @@ def _tally_ranges(job: _Job, ranges: list) -> list:
     if (len(ranges) == 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [_tally_range(job, *bounds) for bounds in ranges]
+        return [_run_range(job, *bounds) for bounds in ranges]
     # workers inherit the job through fork; only the ranges are sent, and
-    # only integer tallies come back. A worker that dies raises
-    # BrokenProcessPool here instead of leaving its range unanswered.
+    # each replication's decisions come back, to be counted by the caller.
+    # A worker that dies raises BrokenProcessPool here instead of leaving
+    # its range unanswered.
     with ProcessPoolExecutor(len(ranges),
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(job,)) as pool:
-        return list(pool.map(_tally_forked, ranges))
+        return list(pool.map(_run_forked, ranges))
 
 
 def run_monte_carlo(scenario: Scenario,
@@ -399,7 +361,7 @@ def run_monte_carlo(scenario: Scenario,
                     alpha: float = 0.05,
                     null_values=None,
                     on_error: str = "record") -> MonteCarloReport:
-    """Replicate the scenario and tally rejections for each method.
+    """Replicate the scenario and count rejections for each method.
 
     ``methods`` picks the per-hypothesis procedures; subset-level
     rejection rates of the local rank-score tests (one table per
@@ -414,12 +376,14 @@ def run_monte_carlo(scenario: Scenario,
 
     The replications are split into contiguous ranges, one per CPU of
     this process's affinity mask, and each range runs in a forked worker
-    (``taskset -c 0`` runs them all in this process). The report is the
-    same for any number of workers: counts are merged in replication
-    order, ``error_messages`` keeps the first eight, and a failure that is
-    re-raised, or that is not an ``MqrankError``, is replayed in this
-    process so the caller gets the original exception. A worker that dies
-    raises ``concurrent.futures.process.BrokenProcessPool``.
+    (``taskset -c 0`` runs them all in this process). Workers return each
+    replication's outcome, and this process counts them in replication
+    order and divides once, so the report is the same for any number of
+    workers: ``error_messages`` keeps the first eight, each distinct
+    warning is issued once, and a failure that is re-raised, or that is
+    not an ``MqrankError``, is replayed here so the caller gets the
+    original exception. A worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
     for m in methods:
         if m not in METHOD_NAMES:
@@ -447,27 +411,52 @@ def run_monte_carlo(scenario: Scenario,
     reps = scenario.replications
     workers = _worker_count(reps)
     cuts = [reps * i // workers for i in range(workers + 1)]
-    tally = _Tally.empty(job)
-    for part in _tally_ranges(job, list(zip(cuts[:-1], cuts[1:]))):
-        if part.failed_at is not None:
-            _replicate(job, part.failed_at)     # raises the original error
-            raise RuntimeError(f"replication {part.failed_at} raised in a "
-                               "worker process but not when run again")
-        tally.merge(part)
+    ranges = _run_ranges(job, list(zip(cuts[:-1], cuts[1:])))
+    # each distinct warning once per run, whichever worker raised it
+    for category, message, filename, lineno in dict.fromkeys(
+            w for _, caught in ranges for w in caught):
+        warnings.warn_explicit(message, category, filename, lineno)
 
-    denom = max(tally.used, 1)
+    wald = ["wald"] if job.wald else []
+    hyp_counts = {m: np.zeros(len(spec.taus), dtype=int)
+                  for m in [f"closed:{w}" for w in w_names if job.closed]
+                  + list(job.singles) + wald}
+    fw_counts = dict.fromkeys(hyp_counts, 0)
+    subset_counts = {t: np.zeros(len(job.subsets), dtype=int)
+                     for t in [f"rankscore:{w}" for w in w_names] + wald}
+    used = 0
+    error_messages = []
+    error_classes = Counter()
+    for outcome in (o for outcomes, _ in ranges for o in outcomes):
+        if isinstance(outcome, int):
+            _replicate(job, outcome)        # raises the original error
+            raise RuntimeError(f"replication {outcome} raised in a worker "
+                               "process but not when run again")
+        rejected, local = outcome
+        if isinstance(rejected, str):       # a recorded failure
+            error_classes[rejected] += 1
+            if len(error_messages) < _KEPT_MESSAGES:
+                error_messages.append(local)
+            continue
+        for name, rej in rejected.items():
+            hyp_counts[name] += rej
+            fw_counts[name] += bool(rej.any())
+        for name, rej in local.items():
+            subset_counts[name] += rej
+        used += 1
+
+    denom = max(used, 1)
     return MonteCarloReport(
         scenario=scenario, alpha=alpha, methods=tuple(methods),
-        weightings=w_names, replications_used=tally.used,
-        error_count=sum(tally.error_classes.values()),
-        error_messages=tally.error_messages,
-        error_classes=dict(tally.error_classes),
+        weightings=w_names, replications_used=used,
+        error_count=sum(error_classes.values()),
+        error_messages=error_messages, error_classes=dict(error_classes),
         hypothesis_rejections={name: counts / denom
-                               for name, counts in tally.hypotheses.items()},
-        familywise={name: c / denom for name, c in tally.familywise.items()},
+                               for name, counts in hyp_counts.items()},
+        familywise={name: c / denom for name, c in fw_counts.items()},
         subset_rejections={
             name: {sub: c / denom for sub, c in zip(job.subsets, counts)}
-            for name, counts in tally.subsets.items()})
+            for name, counts in subset_counts.items()})
 
 
 # --- scenario files ------------------------------------------------------------

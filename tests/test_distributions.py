@@ -66,13 +66,16 @@ def test_chisq_noncentral_matches_scipy_stats_on_grid():
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # nor the process pool, which only run_monte_carlo imports
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)))
+    unloaded = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mqrank, mqrank.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, mqrank, mqrank.cli; print([m for m in {unloaded!r} "
+         "if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_chisq_noncentral_zero_equals_central():

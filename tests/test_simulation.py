@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -266,15 +267,18 @@ def test_run_monte_carlo_records_errors(monkeypatch):
         run_monte_carlo(sc, methods=("raw",), on_error="raise")
 
 
-def test_failed_replication_adds_to_no_tally(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failed_replication_adds_to_no_tally(monkeypatch, workers):
     # wald_test runs last in a replication: when it raises, the rank-score,
-    # closed and raw decisions of that replication must not be counted
+    # closed and raw decisions of that replication must not be counted,
+    # whether the replication ran in this process or in a forked worker
     sc = Scenario(dgp="null_normal", beta=2.0, n=100, taus=(0.25, 0.5, 0.75),
                   replications=9, seed=1)
     flaky = _failing_on(sc, sim.wald_test, dict.fromkeys(
         (2, 5, 8), lambda: SingularCovariance("synthetic failure")))
 
     monkeypatch.setattr(sim, "wald_test", flaky)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
     rep = run_monte_carlo(sc, methods=("closed", "raw", "wald"))
     assert rep.replications_used == 6
     assert rep.error_classes == {"SingularCovariance": 3}
@@ -331,6 +335,35 @@ def test_raised_failure_is_replayed_in_caller(monkeypatch):
     assert type(parallel) is type(serial) is ValidationError
     assert str(parallel) == str(serial)
     assert parallel.codes == serial.codes == ["FirstCode", "SecondCode"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_unrecorded_failure_is_replayed_under_record(monkeypatch, workers):
+    # on_error="record" records only MqrankError; any other exception
+    # reaches the caller as itself, wherever its replication ran
+    sc = Scenario(dgp="null_normal", n=100, taus=(0.5,), replications=9, seed=57)
+    monkeypatch.setattr(sim, "score_state", _failing_on(
+        sc, sim.score_state, {4: lambda: ZeroDivisionError("synthetic")}))
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
+    with pytest.raises(ZeroDivisionError, match="synthetic"):
+        run_monte_carlo(sc, methods=("raw",), on_error="record")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_warning_issued_once_per_run(monkeypatch, workers):
+    # every replication clips the bandwidth at tau = 0.02 (n = 40); each
+    # worker sees the warning, and the caller issues it once
+    sc = Scenario(dgp="null_normal", n=40, taus=(0.02, 0.5), replications=6,
+                  seed=3)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run_monte_carlo(sc, methods=("raw",))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning,
+         "bandwidth at tau=0.02 clipped to 0.018 to stay inside (0, 1)")]
+    assert multiprocessing.active_children() == []
 
 
 def test_dead_worker_raises_instead_of_hanging(monkeypatch):
