@@ -1,6 +1,8 @@
 """Command-line interface: test CSV data, run simulations, analytic power.
 
-Exit codes: 0 success, 2 input/validation problems, 3 numerical failures.
+Exit codes: 0 success; 2 for a ``ValueError``, ``ValidationError`` or
+I/O error, an unwritable ``--out`` among them; 3 for any other
+``MqrankError``. :func:`main` applies this rule for every command.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -35,12 +38,15 @@ def _parse_floats(text: str, flag: str):
                          f"got {text!r}")
 
 
-def _fail(message: str, code: int = EXIT_INVALID) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _write_output(text: str, out_path):
+def _write(out_path, output) -> None:
+    """Write JSON text (a str) or CSV rows (a list) to ``out_path``, or to
+    stdout when no path is given."""
+    if isinstance(output, str):
+        text = output + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(output)
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -94,39 +100,27 @@ def _load_weighting(text: str, k: int) -> WeightingMatrix:
 
 # --- test ----------------------------------------------------------------------
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> str | list:
     nuisance = [c for c in (args.nuisance.split(",") if args.nuisance else []) if c]
     columns = [args.response, args.target] + nuisance
 
-    try:
-        taus = _parse_floats(args.taus, "--taus")
-        nulls = (_parse_floats(args.null_values, "--null-values")
-                 if args.null_values else None)
-        data = _read_csv_columns(args.input, columns)
-        if not 0.0 < args.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-    except (ValueError, ValidationError) as exc:
-        return _fail(str(exc))
+    taus = _parse_floats(args.taus, "--taus")
+    nulls = (_parse_floats(args.null_values, "--null-values")
+             if args.null_values else None)
+    data = _read_csv_columns(args.input, columns)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
 
     n = data[args.response].shape[0]
     Z = np.column_stack([np.ones(n)] + [data[c] for c in nuisance])
     dataset = Dataset(y=data[args.response], x=data[args.target], Z=Z)
     spec = QuantileSpec(taus, nulls)
 
-    try:
-        validate(dataset, spec)
-        weighting = _load_weighting(args.weighting, spec.k)
-    except (ValidationError, ValueError, OSError) as exc:
-        return _fail(str(exc))
-
-    try:
-        state = score_state(dataset, spec)
-        report = closed_test(state, weighting, alpha=args.alpha)
-        beta_hat = target_coefficients(dataset, spec)
-    except ValidationError as exc:
-        return _fail(str(exc))
-    except MqrankError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+    validate(dataset, spec)
+    weighting = _load_weighting(args.weighting, spec.k)
+    state = score_state(dataset, spec)
+    report = closed_test(state, weighting, alpha=args.alpha)
+    beta_hat = target_coefficients(dataset, spec)
 
     hypotheses = []
     for j, tau in enumerate(spec.taus):
@@ -148,25 +142,17 @@ def cmd_test(args) -> int:
             payload["subsets"] = [
                 {"subset": str(s), "size": s.size, "local_p": float(p)}
                 for s, p in report.local_p.items()]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["hypothesis", "tau", "null_value", "beta_hat",
-                         "local_p", "adjusted_p", "reject"])
-        for h in hypotheses:
-            writer.writerow([h["hypothesis"], repr(h["tau"]), repr(h["null_value"]),
-                             repr(h["beta_hat"]), repr(h["local_p"]),
-                             repr(h["adjusted_p"]), int(h["reject"])])
-        if args.verbose:
-            writer.writerow([])
-            writer.writerow(["subset", "size", "local_p"])
-            for s, p in report.local_p.items():
-                writer.writerow([str(s), s.size, repr(float(p))])
-        text = buf.getvalue()
-
-    _write_output(text, args.out)
-    return EXIT_OK
+        return json.dumps(payload, indent=2)
+    rows = [["hypothesis", "tau", "null_value", "beta_hat", "local_p",
+             "adjusted_p", "reject"]]
+    rows += [[h["hypothesis"], repr(h["tau"]), repr(h["null_value"]),
+              repr(h["beta_hat"]), repr(h["local_p"]), repr(h["adjusted_p"]),
+              int(h["reject"])] for h in hypotheses]
+    if args.verbose:
+        rows += [[], ["subset", "size", "local_p"]]
+        rows += [[str(s), s.size, repr(float(p))]
+                 for s, p in report.local_p.items()]
+    return rows
 
 
 # --- simulate ------------------------------------------------------------------
@@ -180,69 +166,43 @@ def _resolve_scenario(name: str) -> Scenario:
     raise ValueError(f"scenario {name!r} is neither a file nor a bundled scenario")
 
 
-def cmd_simulate(args) -> int:
-    try:
-        scenario = _resolve_scenario(args.scenario)
-        if args.seed is not None:
-            scenario = Scenario(**{**scenario.to_dict(), "seed": args.seed})
-        if args.replications is not None:
-            scenario = Scenario(**{**scenario.to_dict(),
-                                   "replications": args.replications})
-        methods = tuple(args.methods.split(","))
-        weightings = tuple(args.weightings.split(","))
-        report = run_monte_carlo(scenario, methods=methods,
-                                 weightings=weightings, alpha=args.alpha)
-    except (ValueError, ValidationError, OSError) as exc:
-        return _fail(str(exc))
-    except MqrankError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+def cmd_simulate(args) -> str | list:
+    scenario = _resolve_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    if args.replications is not None:
+        scenario = replace(scenario, replications=args.replications)
+    methods = tuple(args.methods.split(","))
+    weightings = tuple(args.weightings.split(","))
+    report = run_monte_carlo(scenario, methods=methods,
+                             weightings=weightings, alpha=args.alpha)
     if report.replications_used == 0:
-        return _fail(f"all {report.error_count} replications failed; first: "
-                     f"{report.error_messages[0]}", EXIT_NUMERICAL)
+        raise MqrankError(f"all {report.error_count} replications failed; "
+                          f"first: {report.error_messages[0]}")
 
     print(f"seed: {scenario.seed}", file=sys.stderr)
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(report.to_csv_rows())
-        text = buf.getvalue()
-    _write_output(text, args.out)
-    return EXIT_OK
+    return report.to_json() if args.format == "json" else report.to_csv_rows()
 
 
 # --- power ---------------------------------------------------------------------
 
-def cmd_power(args) -> int:
-    try:
-        taus = _parse_floats(args.taus, "--taus")
-        g = _parse_floats(args.g, "--g")
-        if len(g) != len(taus):
-            raise ValueError(f"--g has {len(g)} entries but --taus has {len(taus)}")
-        weighting = _load_weighting(args.weighting, len(taus))
-        table = analytic_power(taus, g, args.vn, weighting, args.alpha)
-    except (ValueError, ValidationError, OSError) as exc:
-        return _fail(str(exc))
-    except MqrankError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+def cmd_power(args) -> str | list:
+    taus = _parse_floats(args.taus, "--taus")
+    g = _parse_floats(args.g, "--g")
+    if len(g) != len(taus):
+        raise ValueError(f"--g has {len(g)} entries but --taus has {len(taus)}")
+    weighting = _load_weighting(args.weighting, len(taus))
+    table = analytic_power(taus, g, args.vn, weighting, args.alpha)
 
     rows = [{"subset": str(s), "size": s.size, "power": float(p)}
             for s, p in table.items()]
     if args.format == "json":
-        text = json.dumps({"alpha": args.alpha, "taus": list(taus),
+        return json.dumps({"alpha": args.alpha, "taus": list(taus),
                            "g": list(g), "vn": args.vn,
                            "weighting": args.weighting, "power": rows},
-                          indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["subset", "size", "power"])
-        for r in rows:
-            writer.writerow([r["subset"], r["size"], repr(r["power"])])
-        text = buf.getvalue()
-    _write_output(text, args.out)
-    return EXIT_OK
+                          indent=2)
+    return [["subset", "size", "power"]] + [
+        [r["subset"], r["size"], repr(r["power"])] for r in rows]
 
 
 # --- parser --------------------------------------------------------------------
@@ -307,9 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its output: JSON text or a list of CSV
+    rows, as each ``cmd_*`` returns it. Errors map to exit codes here."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        _write(args.out, args.func(args))
+        return EXIT_OK
+    # ValidationError subclasses MqrankError, so it is caught first
+    except (ValueError, ValidationError, OSError) as exc:
+        error, code = exc, EXIT_INVALID
+    except MqrankError as exc:
+        error, code = exc, EXIT_NUMERICAL
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

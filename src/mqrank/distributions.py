@@ -406,8 +406,10 @@ def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
 
 
 def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:
-    """Critical value x with imhof_upper(mix, x) = alpha: brentq to 1e-9
-    in x on a bracket [0, hi] that doubles until its tail is below alpha."""
+    """Critical value x with imhof_upper(mix, x) = alpha: brentq to 1e-12
+    in x on a bracket [0, hi] that doubles until its tail is below alpha.
+    With a looser xtol, weights that differ only in their last bits could
+    give roots up to xtol apart, and powers that differ with them."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     hi = mix.mean() + 10.0 * np.sqrt(mix.variance())
@@ -418,4 +420,4 @@ def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:
     else:
         raise QuadratureFailure("failed to bracket the mixture quantile")
     return float(brentq(lambda t: imhof_upper(mix, t) - alpha, 0.0, hi,
-                        xtol=1e-9, rtol=1e-12))
+                        xtol=1e-12, rtol=1e-12))

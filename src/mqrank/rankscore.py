@@ -636,9 +636,7 @@ def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
         raise ValueError(f"g must be finite, got {g.tolist()}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if not np.isfinite(v_bar):
-        raise ValueError(f"v_bar must be finite, got {v_bar}")
-    if v_bar <= 0.0:
-        raise SingularProjection("score covariance scale must be positive")
+    if not (np.isfinite(v_bar) and v_bar > 0.0):
+        raise ValueError(f"v_bar must be finite and positive, got {v_bar}")
     plan = SubsetPlan(taus, weighting)
     return dict(zip(plan.subsets, plan.power(g, v_bar, alpha)))

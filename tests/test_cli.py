@@ -305,7 +305,8 @@ def test_cmd_power_dimension_mismatch(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--vn", "nan"), ("--vn", "inf"),
-                                         ("--g", "nan,0.1"), ("--g", "0.1,inf")])
+                                         ("--g", "nan,0.1"), ("--g", "0.1,inf"),
+                                         ("--vn", "0"), ("--vn", "-1")])
 def test_cmd_power_non_finite_input_exit_2(capsys, flag, value):
     args = {"--taus": "0.25,0.75", "--g": "0.5,0.5", "--vn": "1.0", flag: value}
     assert run_cli("power", *(item for pair in args.items() for item in pair)) == 2
@@ -342,3 +343,43 @@ def test_subset_rows_follow_all_subsets_order(data_csv, capsys):
     assert run_cli(*power_args, "--format", "csv") == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
     assert [r[0] for r in rows[1:]] == order
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", "--input", "DATA", "--response", "resp", "--target", "xcov",
+     "--taus", "0.5"),
+    ("simulate", "--scenario", "null_calibration", "--methods", "raw",
+     "--weightings", "inverse", "--replications", "2"),
+    ("power", "--taus", "0.25,0.75", "--g", "0.5,0.5"),
+])
+def test_unwritable_out_exit_2(data_csv, tmp_path, argv):
+    src = Path(mqrank.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [str(data_csv) if a == "DATA" else a for a in argv]
+    out = tmp_path / "missing" / "out.json"
+    run = subprocess.run([sys.executable, "-m", "mqrank.cli", *argv,
+                          "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: [Errno 2] No such file or directory: '{out}'"]
+    assert run.stdout == ""
+
+
+def test_non_positive_definite_custom_weighting_exit_3(data_csv, tmp_path,
+                                                        capsys):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("1.0 2.0\n2.0 1.0\n")
+    weighting = f"custom:{wpath}"
+    assert run_cli("test", "--input", str(data_csv), "--response", "resp",
+                   "--target", "xcov", "--taus", "0.25,0.75",
+                   "--weighting", weighting) == 3
+    assert run_cli("power", "--taus", "0.25,0.75", "--g", "0.5,0.5",
+                   "--weighting", weighting) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("not positive definite" in line for line in err)

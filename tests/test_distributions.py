@@ -10,12 +10,13 @@ from scipy.stats import chi2, ncx2
 
 import mqrank
 from helpers import contour_rule_gaps, make_dataset, mixture_grid
-from mqrank import (QuantileSpec, WeightedChiSquareMixture, WeightingMatrix,
-                    analytic_power, chisq_noncentral_upper, chisq_upper,
-                    closed_test, distributions, imhof_upper, mixture_quantile,
+from mqrank import (HypothesisSubset, QuantileSpec, WeightedChiSquareMixture,
+                    WeightingMatrix, analytic_power, bridge_covariance,
+                    chisq_noncentral_upper, chisq_upper, closed_test,
+                    distributions, imhof_upper, mixture_quantile,
                     score_state, upper_tails)
 from mqrank.distributions import _certified_upper, chisq_quantile
-from mqrank.rankscore import SubsetPlan
+from mqrank.rankscore import SubsetPlan, mixture_weights
 
 # Monte Carlo oracle values, frozen from 1e7-draw runs (helpers/oracle
 # draws with numpy Philox-family generators, seed 20260809); each entry
@@ -158,6 +159,27 @@ def test_mixture_quantile_roundtrip():
     for x in (0.8, 2.5, 6.0):
         alpha = imhof_upper(mix, x)
         assert mixture_quantile(mix, alpha) == pytest.approx(x, abs=1e-4)
+
+
+def test_power_stable_under_last_bit_changes_in_weights():
+    # K = 9 plans give subset {2,3,4,5,7,9} the critical value of its mirror
+    # image {1,3,5,6,7,8}; eigh and eigvalsh give the mirror's weights about
+    # 5e-15 apart, which a root-finder stopping at xtol 1e-9 turned into
+    # critical values 5.3e-10 apart and powers 5.3e-12 apart
+    taus = tuple(round(0.1 * i, 1) for i in range(1, 10))
+    subset = HypothesisSubset((1, 3, 5, 6, 7, 8))
+    pos = subset.positions()
+    a = bridge_covariance(taus)[pos][:, pos]
+    b = WeightingMatrix.parse("density:t:3").materialize(taus, subset)
+    eigval, eigvec = np.linalg.eigh(a)
+    a_half = (eigvec * np.sqrt(eigval)) @ eigvec.T
+    sym = a_half @ b @ a_half
+    powers = []
+    for lam in (mixture_weights(a, b), np.linalg.eigvalsh(0.5 * (sym + sym.T))):
+        crit = mixture_quantile(WeightedChiSquareMixture(weights=tuple(lam)), 0.05)
+        powers.append(imhof_upper(WeightedChiSquareMixture(
+            weights=tuple(lam), noncentralities=(2.0,) * 6), crit))
+    assert abs(powers[0] - powers[1]) <= 1e-12
 
 
 def test_mixture_validation():
