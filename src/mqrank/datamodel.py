@@ -199,6 +199,6 @@ def _spec_issues(spec: QuantileSpec) -> list:
             "DuplicateQuantile", "quantile levels must be distinct"))
     if len(spec.null_values) != taus.size:
         issues.append(ValidationIssue(
-            "QuantileOutOfRange",
+            "NullValueCount",
             "null_values length does not match the number of quantile levels"))
     return issues

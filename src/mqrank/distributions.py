@@ -33,9 +33,9 @@ near 1. Since mu x is fixed, e^{s x} s' / s is one constant vector per N,
 and rounding grows like e^{0.355 N} eps, so N stays near 20.
 :func:`upper_tails` evaluates every row of a batch at N = 16 and N = 20
 as one complex array, in bounded blocks, and returns the N = 20 value
-clipped to [0, 1] where the two agree within 1e-10. Where an
-exponential (Chernoff) bound already certifies P(Q > x) < 1e-9, the
-tail is returned as 0 without inversion.
+clipped to [0, 1] where the two agree within 1e-10. The rule costs the
+same at any x, so the deep tail takes it too; an agreeing N = 20 value
+below 1e-12, about four times its rounding level, is returned as 0.
 
 A row whose two node counts disagree goes to the certified rule, which
 inverts the characteristic function instead (Imhof's method):
@@ -89,8 +89,9 @@ _MAX_ROUNDS = 40
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 # nodes x components evaluated per numpy block; bounds the working memory
 _BLOCK = 1 << 16
-# tails whose Chernoff bound is below this are returned as 0
-_DEEP_TAIL = 1e-9
+# agreeing contour tails below this are returned as 0: about four times
+# the rule's rounding level e^(0.355 * 20) eps = 2.7e-13
+_DEEP_TAIL = 1e-12
 
 # Hyperbolic contour of Weideman & Trefethen (2007) for N nodes:
 # s(theta) = mu (1 + sin(i theta - alpha)), step 1.0818 / N, mu = 4.4921 N / x.
@@ -100,8 +101,6 @@ _STEP = 1.0818
 _MU = 4.4921
 _NODE_COUNTS = (16, 20)
 _AGREE_TOL = 1e-10
-
-_CHERNOFF_GRID = 0.5 * (1.0 - 0.5 ** np.arange(1, 13))
 
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21). The half tables
 # run from the outermost abscissa to 0; the 10-point Gauss rule uses every
@@ -195,17 +194,6 @@ def chisq_noncentral_upper(x: float, k: int, zeta: float) -> float:
     if zeta == 0.0:
         return chisq_upper(x, k)
     return float(1.0 - chndtr(x, k, zeta))
-
-
-def _chernoff_bounds(lam, zet, dfs, x):
-    """Upper bound on P(Q > x) for each row: exp(log MGF(t) - t x), least
-    over a grid of t = (1 - 2^-j) / (2 max weight), j = 1..12; any t in
-    that range gives a valid bound."""
-    t = _CHERNOFF_GRID / lam.max(axis=1, keepdims=True)
-    tl = t[:, :, None] * lam[:, None, :]
-    log_mgf = (np.einsum("rjk,rk->rj", np.log1p(-2.0 * tl), -0.5 * dfs)
-               + np.einsum("rjk,rk->rj", tl / (1.0 - 2.0 * tl), zet))
-    return np.exp(np.minimum((log_mgf - t * x[:, None]).min(axis=1), 0.0))
 
 
 def _contour(n):
@@ -360,12 +348,12 @@ def upper_tails(weights, x, noncentralities=None, dfs=None) -> np.ndarray:
 
     weights, noncentralities and dfs have shape (rows, K); x has shape
     (rows,). Missing noncentralities are 0 and missing dfs 1. Rows with
-    x <= 0 get 1 and rows with x = nan get nan. Other tails are
-    the N = 20 contour rule where N = 16 agrees within 1e-10, 0 where the
-    Chernoff bound is below 1e-9, and the certified rule otherwise (see
-    the module docstring), so the absolute error is about 1e-10. Raises
-    QuadratureFailure when a row reaches the certified rule and it cannot
-    certify its budget.
+    x <= 0 get 1 and rows with x = nan get nan. Every other tail is the
+    N = 20 contour rule where N = 16 agrees within 1e-10 (0 where that
+    value is below 1e-12, about four times its rounding level), and the
+    certified rule otherwise (see the module docstring), so the absolute
+    error is about 1e-10. Raises QuadratureFailure when a row reaches the
+    certified rule and it cannot certify its budget.
     """
     lam = np.atleast_2d(np.asarray(weights, dtype=float))
     rows, k = lam.shape
@@ -381,14 +369,10 @@ def upper_tails(weights, x, noncentralities=None, dfs=None) -> np.ndarray:
         r = start + np.flatnonzero(x[start:start + block] > 0.0)
         if r.size == 0:
             continue
-        deep = _chernoff_bounds(lam[r], zet[r], dfs[r], x[r]) < _DEEP_TAIL
-        out[r[deep]] = 0.0
-        r = r[~deep]
-        if r.size == 0:
-            continue
         tails = _contour_tails(lam[r], zet[r], dfs[r], x[r])
         agree = np.abs(tails[:, 0] - tails[:, -1]) <= _AGREE_TOL
-        out[r[agree]] = np.clip(tails[agree, -1], 0.0, 1.0)
+        tail = tails[agree, -1]
+        out[r[agree]] = np.where(tail < _DEEP_TAIL, 0.0, np.minimum(tail, 1.0))
         for i in r[~agree]:
             out[i] = _certified_upper(lam[i], zet[i], dfs[i], x[i])
     return out

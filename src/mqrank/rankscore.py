@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ndtri, stdtrit
 
-from .datamodel import Dataset, HypothesisSubset, QuantileSpec, all_subsets, validate
+from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
+                        validate, validate_spec)
 from .distributions import (WeightedChiSquareMixture, chisq_noncentral_upper,
                             chisq_quantile, chisq_upper, mixture_quantile,
                             upper_tails)
@@ -626,7 +627,10 @@ def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
     noncentral mixture is compared against its null mixture's critical
     value (:meth:`SubsetPlan.power`); equal mixture weights, the inverse
     weighting among them, use the noncentral chi-square in closed form.
+    Levels outside (0, 1) or repeated raise ValidationError; the table
+    follows ``taus`` in the order given.
     """
+    validate_spec(QuantileSpec(taus))
     k = len(taus)
     g = np.asarray(g, dtype=float)
     if g.shape != (k,):

@@ -14,15 +14,16 @@ of decisions, which is tallied only once the whole replication has
 succeeded; failed replications are counted by exception class.
 
 The engine splits the replications into contiguous ranges, one per CPU of
-the process's affinity mask, and runs each range in a forked worker that
-inherits the plans and critical values. Workers send back each
-replication's decisions or failure, and the warnings raised; the caller
-counts the replications in order and divides once, so a report is the
-same bits for any number of CPUs.
+the process's affinity mask, and runs each range in a forked worker. A
+worker is passed the run's plans and critical values with its range, as
+one argument, and sends back each replication's decisions or failure,
+and the warnings raised; the caller counts the replications in order and
+divides once, so a report is the same bits for any number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -288,8 +289,8 @@ def _replicate(job: _Job, rep: int):
     return rejected, local
 
 
-def _run_range(job: _Job, start: int, stop: int):
-    """The outcomes of replications start, ..., stop - 1 in order, and the
+def _run_range(job: _Job, reps: range):
+    """The outcomes of the replications in ``reps``, in order, and the
     warnings they raised as (category, message, filename, lineno).
 
     An outcome is a replication's ``(rejected, local)`` decisions, the
@@ -299,7 +300,7 @@ def _run_range(job: _Job, start: int, stop: int):
     """
     outcomes = []
     with warnings.catch_warnings(record=True) as caught:
-        for rep in range(start, stop):
+        for rep in reps:
             try:
                 outcomes.append(_replicate(job, rep))
             except Exception as exc:
@@ -320,18 +321,6 @@ def _worker_count(replications: int) -> int:
     return min(cpus, replications)
 
 
-_forked_job = None      # the run a forked worker serves, set by _adopt
-
-
-def _adopt(job: _Job) -> None:
-    global _forked_job
-    _forked_job = job
-
-
-def _run_forked(bounds):
-    return _run_range(_forked_job, *bounds)
-
-
 def _run_ranges(job: _Job, ranges: list) -> list:
     """Each range's outcomes and warnings, in order: one forked worker per
     range, or all in this process where there is one range, no fork, or
@@ -341,18 +330,18 @@ def _run_ranges(job: _Job, ranges: list) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    run = functools.partial(_run_range, job)
     if (len(ranges) == 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [_run_range(job, *bounds) for bounds in ranges]
-    # workers inherit the job through fork; only the ranges are sent, and
-    # each replication's decisions come back, to be counted by the caller.
-    # A worker that dies raises BrokenProcessPool here instead of leaving
-    # its range unanswered.
-    with ProcessPoolExecutor(len(ranges),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(job,)) as pool:
-        return list(pool.map(_run_forked, ranges))
+        return list(map(run, ranges))
+    # each worker is sent the job with its range, as one pickled argument,
+    # and sends back each replication's decisions, to be counted by the
+    # caller. A worker that dies raises BrokenProcessPool here instead of
+    # leaving its range unanswered.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(ranges), mp_context=fork) as pool:
+        return list(pool.map(run, ranges))
 
 
 def run_monte_carlo(scenario: Scenario,
@@ -376,6 +365,7 @@ def run_monte_carlo(scenario: Scenario,
 
     The replications are split into contiguous ranges, one per CPU of
     this process's affinity mask, and each range runs in a forked worker
+    that is passed the run's plans and critical values with its range
     (``taskset -c 0`` runs them all in this process). Workers return each
     replication's outcome, and this process counts them in replication
     order and divides once, so the report is the same for any number of
@@ -411,7 +401,7 @@ def run_monte_carlo(scenario: Scenario,
     reps = scenario.replications
     workers = _worker_count(reps)
     cuts = [reps * i // workers for i in range(workers + 1)]
-    ranges = _run_ranges(job, list(zip(cuts[:-1], cuts[1:])))
+    ranges = _run_ranges(job, list(map(range, cuts[:-1], cuts[1:])))
     # each distinct warning once per run, whichever worker raised it
     for category, message, filename, lineno in dict.fromkeys(
             w for _, caught in ranges for w in caught):

@@ -106,7 +106,7 @@ def mixture_grid(seed, count, harsh=False):
 def contour_rule_gaps(grid):
     """|contour rule - certified rule| for every (weights, noncentralities,
     x) triple: the N = 20 hyperbolic rule, clipped to [0, 1] and without
-    the Chernoff shortcut or the agreement check, against the certified
+    the agreement check or the 1e-12 zero floor, against the certified
     Imhof quadrature."""
     from mqrank.distributions import _certified_upper, _contour_tails
 

@@ -121,6 +121,14 @@ def test_cmd_test_duplicate_taus(data_csv, capsys):
     assert "DuplicateQuantile" in capsys.readouterr().err
 
 
+def test_cmd_test_null_value_count_exit_2(data_csv, capsys):
+    code = run_cli("test", "--input", str(data_csv), "--response", "resp",
+                   "--target", "xcov", "--taus", "0.25,0.5",
+                   "--null-values", "1")
+    assert code == 2
+    assert "NullValueCount" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
 def test_cmd_test_alpha_out_of_range_exit_2(data_csv, alpha, capsys):
     code = run_cli("test", "--input", str(data_csv), "--response", "resp",
@@ -298,6 +306,15 @@ def test_cmd_power_too_many_levels_exit_3(capsys):
     assert run_cli("power", "--taus", taus, "--g", g,
                    "--weighting", "inverse") == 3
     assert "65535 subsets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taus, code", [("0.25,1.5", "QuantileOutOfRange"),
+                                         ("0.5,0.5", "DuplicateQuantile")])
+def test_cmd_power_invalid_levels_exit_2(capsys, taus, code):
+    assert run_cli("power", "--taus", taus, "--g", "0.1,0.1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert code in captured.err
 
 
 def test_cmd_power_dimension_mismatch(capsys):

@@ -75,6 +75,13 @@ def test_constant_response_rejected(good_pair):
     assert "SampleTooSmall" in exc.value.codes
 
 
+def test_null_value_count_has_its_own_code(good_pair):
+    ds, _ = good_pair
+    with pytest.raises(ValidationError) as exc:
+        validate(ds, QuantileSpec((0.25, 0.5), (0.0,)))
+    assert exc.value.codes == ["NullValueCount"]
+
+
 def test_all_violations_reported():
     rng = np.random.default_rng(3)
     n = 30

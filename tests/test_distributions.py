@@ -27,7 +27,7 @@ MC_MIX_25_125_Q95 = (1.157131, 0.00057)
 MC_NCMIX_3Z3_15Z1_AT_2 = (0.2705645, 0.000141)
 
 # imhof_upper's quadrature budgets keep its p-value error below 1e-10, and
-# its deep-tail shortcut returns 0 only where the tail is below 1e-9
+# the contour rule returns 0 only where its tail is below 1e-12
 RULE_TOL = 1e-9
 # the contour rule is accepted only where N = 16 and N = 20 agree this well
 CONTOUR_TOL = 1e-10
@@ -294,6 +294,16 @@ def test_upper_tails_exact_chisq_forms():
                               np.tile(zetas, (x.size, 1)))
             assert np.max(np.abs(got - ncx2.sf(x / w, k, zetas.sum()))) \
                 <= CONTOUR_TOL
+
+
+def test_upper_tails_deep_central_tails():
+    levels = 10.0 ** np.linspace(-30.0, -9.0, 43)
+    for k in range(1, 16):
+        for w in (1e-3, 0.05, 1.0, 12.0, 1e3):
+            x = w * chi2.isf(levels, k)
+            got = upper_tails(np.full((x.size, k), w), x)
+            assert np.max(np.abs(got - chi2.sf(x / w, k))) <= 2e-12
+            assert not np.any((got > 0.0) & (got < distributions._DEEP_TAIL))
 
 
 def test_upper_tails_rows_match_imhof_upper():
