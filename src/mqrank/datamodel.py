@@ -18,12 +18,12 @@ import numpy as np
 
 from .exceptions import TooManyHypotheses, ValidationError, ValidationIssue
 
-# Identity-weighted closed_test, n = 200, 2-core x86, effects 0 and 0.6:
-# 42-48 us per subset at K = 12 (0.17-0.18 s) and 46-49 us at K = 15
-# (1.5-1.6 s), three quarters of it building the SubsetPlan; the contour
-# tails cost the same with or without signal.
+# Identity-weighted closed_test, n = 200, 2-core x86, effects 0 and 0.6,
+# fastest of 3-5 runs: 22-23 us per subset at K = 12 (0.09 s) and 25-26 us
+# at K = 15 (0.83-0.85 s), about 70% of it building the SubsetPlan; the
+# contour tails cost the same with or without signal.
 MAX_HYPOTHESES = 15
-_SECONDS_PER_SUBSET = (4e-5, 5e-5)
+_SECONDS_PER_SUBSET = (2e-5, 3e-5)
 
 
 @dataclass(frozen=True)

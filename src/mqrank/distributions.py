@@ -7,12 +7,12 @@ scipy.stats is not imported: its import alone costs more than a typical
 closed test.
 
 Tail probabilities of positively weighted sums of independent
-(noncentral) chi-square variables, Q = sum_i l_i chisq(h_i, z_i), come
-from numerical Laplace inversion. The tail function P(Q > x) has the
-Laplace transform (1 - phi(s)) / s, where
+(noncentral) chi-square variables with one degree of freedom each,
+Q = sum_i l_i chisq_1(z_i), come from numerical Laplace inversion. The
+tail function P(Q > x) has the Laplace transform (1 - phi(s)) / s, where
 
     phi(s) = E exp(-s Q)
-           = prod_i (1 + 2 l_i s)^(-h_i/2) * exp(-sum_i z_i l_i s / (1 + 2 l_i s)),
+           = prod_i (1 + 2 l_i s)^(-1/2) * exp(-sum_i z_i l_i s / (1 + 2 l_i s)),
 
 whose singularities all lie on the negative real axis. For such
 transforms the trapezoid rule on the hyperbolic contour
@@ -42,16 +42,16 @@ inverts the characteristic function instead (Imhof's method):
 
     P(Q > x) = 1/2 + (1/pi) * int_0^inf A(u) sin(theta(u)) du,
 
-    theta(u) = 1/2 * sum_i [ h_i * atan(l_i u) + z_i l_i u / (1 + l_i^2 u^2) ]
+    theta(u) = 1/2 * sum_i [ atan(l_i u) + z_i l_i u / (1 + l_i^2 u^2) ]
                - x u / 2,
     A(u)     = 1 / (u * rho(u)),
-    rho(u)   = prod_i (1 + l_i^2 u^2)^{h_i/4}
+    rho(u)   = prod_i (1 + l_i^2 u^2)^{1/4}
                * exp( 1/2 * sum_i z_i l_i^2 u^2 / (1 + l_i^2 u^2) ).
 
 The integrand oscillates at asymptotic frequency x/2 and decays like
-u^(-1 - sum(h)/2). As in Davies (1980, AS 155), the integral is cut at
-a point U with an explicit truncation bound instead of being chased to
-infinity by oscillatory quadrature. One integration by parts gives,
+u^(-1 - K/2) for K components. As in Davies (1980, AS 155), the integral
+is cut at a point U with an explicit truncation bound instead of being
+chased to infinity by oscillatory quadrature. One integration by parts gives,
 with g = A / theta',
 
     int_U^inf A sin(theta) du = g(U) cos(theta(U)) + R,
@@ -132,41 +132,35 @@ _KRONROD_MINUS_GAUSS = _GK_WEIGHTS - np.concatenate([_WG_HALF[:-1],
 
 @dataclass(frozen=True)
 class WeightedChiSquareMixture:
-    """Distribution of sum_i weights_i * chisq(dfs_i, noncentralities_i)."""
+    """Distribution of sum_i weights_i * chisq_1(noncentralities_i)."""
 
     weights: tuple
     noncentralities: tuple = None
-    dfs: tuple = None
 
     def __post_init__(self):
         w = tuple(float(v) for v in np.atleast_1d(self.weights))
         z = self.noncentralities
         z = (0.0,) * len(w) if z is None else tuple(float(v) for v in np.atleast_1d(z))
-        d = self.dfs
-        d = (1,) * len(w) if d is None else tuple(int(v) for v in np.atleast_1d(d))
-        if not (len(w) == len(z) == len(d)):
-            raise ValueError("weights, noncentralities and dfs must have equal length")
+        if len(w) != len(z):
+            raise ValueError("weights and noncentralities must have equal length")
         if any(v <= 0.0 for v in w):
             raise ValueError("mixture weights must be strictly positive")
         if any(v < 0.0 for v in z):
             raise ValueError("noncentralities must be nonnegative")
-        if any(v < 1 for v in d):
-            raise ValueError("degrees of freedom must be >= 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "noncentralities", z)
-        object.__setattr__(self, "dfs", d)
 
     @property
     def k(self) -> int:
         return len(self.weights)
 
     def mean(self) -> float:
-        w, z, d = map(np.asarray, (self.weights, self.noncentralities, self.dfs))
-        return float(np.sum(w * (d + z)))
+        w, z = map(np.asarray, (self.weights, self.noncentralities))
+        return float(np.sum(w * (1.0 + z)))
 
     def variance(self) -> float:
-        w, z, d = map(np.asarray, (self.weights, self.noncentralities, self.dfs))
-        return float(np.sum(w ** 2 * (2 * d + 4 * z)))
+        w, z = map(np.asarray, (self.weights, self.noncentralities))
+        return float(np.sum(w ** 2 * (2.0 + 4.0 * z)))
 
 
 def chisq_upper(x: float, k: int) -> float:
@@ -219,21 +213,21 @@ def _contour_rules():
 _NODES, _COEF = _contour_rules()
 
 
-def _contour_tails(lam, zet, dfs, x):
+def _contour_tails(lam, zet, x):
     """P(Q > x) of each row by every rule in _NODE_COUNTS, shape (rows, rules)."""
     t = (2.0 / x)[:, None, None] * lam[:, None, :] * _NODES[:, None]
-    log_phi = np.einsum("rnk,rk->rn", np.log1p(t), -0.5 * dfs)
+    log_phi = -0.5 * np.log1p(t).sum(axis=2)
     if zet.any():
         log_phi -= np.einsum("rnk,rk->rn", t / (1.0 + t), 0.5 * zet)
     return (-np.expm1(log_phi) @ _COEF).imag
 
 
-def _integrand(u, lam, zet, dfs, x):
+def _integrand(u, lam, zet, x):
     """A(u) sin(theta(u)) at every entry of the 1-D array u > 0."""
     s = u[:, None] * lam
     s2 = s * s
-    theta = 0.5 * (np.arctan(s) @ dfs) - 0.5 * x * u
-    log_rho = 0.25 * (np.log1p(s2) @ dfs)
+    theta = 0.5 * np.arctan(s).sum(axis=1) - 0.5 * x * u
+    log_rho = 0.25 * np.log1p(s2).sum(axis=1)
     if zet.any():
         r = 1.0 / (1.0 + s2)
         theta += 0.5 * ((s * r) @ zet)
@@ -241,7 +235,7 @@ def _integrand(u, lam, zet, dfs, x):
     return np.sin(theta) * np.exp(-log_rho) / u
 
 
-def _tail_beyond(upper, lam, zet, dfs, x):
+def _tail_beyond(upper, lam, zet, x):
     """Boundary term g cos(theta) at `upper` and the bound 2 |g' / theta'|
     on the rest of the integral beyond it, where g = A / theta'.
 
@@ -254,15 +248,15 @@ def _tail_beyond(upper, lam, zet, dfs, x):
     s = lam * upper
     s2 = s * s
     r = 1.0 / (1.0 + s2)
-    d_sup = 0.5 * (lam @ (r * (dfs + zet * np.maximum(1.0 - s2, 0.0) * r))) \
+    d_sup = 0.5 * (lam @ (r * (1.0 + zet * np.maximum(1.0 - s2, 0.0) * r))) \
         - 0.5 * x
     if not d_sup < 0.0:
         return 0.0, np.inf
-    theta = 0.5 * (dfs @ np.arctan(s) + zet @ (s * r)) - 0.5 * x * upper
-    amp = np.exp(-(0.25 * (dfs @ np.log1p(s2)) + 0.5 * (zet @ (s2 * r)))) / upper
-    d1 = 0.5 * (lam @ (r * (dfs + zet * (1.0 - s2) * r))) - 0.5 * x
-    d2 = (lam * lam * s * r * r) @ (zet * (s2 - 3.0) * r - dfs)
-    d_log_amp = -1.0 / upper - (lam * s * r) @ (0.5 * dfs + zet * r)
+    theta = 0.5 * (np.arctan(s).sum() + zet @ (s * r)) - 0.5 * x * upper
+    amp = np.exp(-(0.25 * np.log1p(s2).sum() + 0.5 * (zet @ (s2 * r)))) / upper
+    d1 = 0.5 * (lam @ (r * (1.0 + zet * (1.0 - s2) * r))) - 0.5 * x
+    d2 = (lam * lam * s * r * r) @ (zet * (s2 - 3.0) * r - 1.0)
+    d_log_amp = -1.0 / upper - (lam * s * r) @ (0.5 + zet * r)
     bound = 2.0 * amp * (abs(d_log_amp) + abs(d2 / d1)) / (d1 * d1)
     return float(amp / d1 * np.cos(theta)), float(bound)
 
@@ -319,7 +313,7 @@ def _integrate_head(f, upper, cycle, lmax, block):
     raise QuadratureFailure("quadrature panels did not meet the error budget")
 
 
-def _certified_upper(lam, zet, dfs, x):
+def _certified_upper(lam, zet, x):
     """P(Q > x) for one mixture by Imhof's inversion with a certified
     truncation point and Gauss-Kronrod panels (see the module docstring).
 
@@ -329,39 +323,38 @@ def _certified_upper(lam, zet, dfs, x):
     cycle = 4.0 * np.pi / x
 
     upper = max(cycle, 1.0 / lmax)
-    tail, bound = _tail_beyond(upper, lam, zet, dfs, x)
+    tail, bound = _tail_beyond(upper, lam, zet, x)
     while bound > _TAIL_TOL:
         upper *= 2.0
         if upper > _MAX_PANELS * cycle or upper * lmax > 1e100:
             raise QuadratureFailure("could not certify the truncated tail")
-        tail, bound = _tail_beyond(upper, lam, zet, dfs, x)
+        tail, bound = _tail_beyond(upper, lam, zet, x)
 
     block = max(1, _BLOCK // (_GK_NODES.size * lam.size))
-    head = _integrate_head(lambda u: _integrand(u, lam, zet, dfs, x),
+    head = _integrate_head(lambda u: _integrand(u, lam, zet, x),
                            upper, cycle, lmax, block)
     p = 0.5 + (head + tail) / np.pi
     return float(min(1.0, max(0.0, p)))
 
 
-def upper_tails(weights, x, noncentralities=None, dfs=None) -> np.ndarray:
-    """P(Q_r > x_r) for every row r of a batch of mixtures with K components.
+def upper_tails(weights, x, noncentralities=None) -> np.ndarray:
+    """P(Q_r > x_r) for every row r of a batch of mixtures with K
+    one-degree-of-freedom components.
 
-    weights, noncentralities and dfs have shape (rows, K); x has shape
-    (rows,). Missing noncentralities are 0 and missing dfs 1. Rows with
-    x <= 0 get 1 and rows with x = nan get nan. Every other tail is the
-    N = 20 contour rule where N = 16 agrees within 1e-10 (0 where that
-    value is below 1e-12, about four times its rounding level), and the
-    certified rule otherwise (see the module docstring), so the absolute
-    error is about 1e-10. Raises QuadratureFailure when a row reaches the
-    certified rule and it cannot certify its budget.
+    weights and noncentralities have shape (rows, K); x has shape
+    (rows,). Missing noncentralities are 0. Rows with x <= 0 get 1 and
+    rows with x = nan get nan. Every other tail is the N = 20 contour rule
+    where N = 16 agrees within 1e-10 (0 where that value is below 1e-12,
+    about four times its rounding level), and the certified rule otherwise
+    (see the module docstring), so the absolute error is about 1e-10.
+    Raises QuadratureFailure when a row reaches the certified rule and it
+    cannot certify its budget.
     """
     lam = np.atleast_2d(np.asarray(weights, dtype=float))
     rows, k = lam.shape
     x = np.asarray(x, dtype=float).reshape(rows)
     zet = np.zeros((rows, k)) if noncentralities is None else \
         np.atleast_2d(np.asarray(noncentralities, dtype=float))
-    dfs = np.ones((rows, k)) if dfs is None else \
-        np.atleast_2d(np.asarray(dfs, dtype=float))
 
     out = np.where(x <= 0.0, 1.0, np.nan)
     block = max(1, _BLOCK // (_NODES.size * k))
@@ -369,12 +362,12 @@ def upper_tails(weights, x, noncentralities=None, dfs=None) -> np.ndarray:
         r = start + np.flatnonzero(x[start:start + block] > 0.0)
         if r.size == 0:
             continue
-        tails = _contour_tails(lam[r], zet[r], dfs[r], x[r])
+        tails = _contour_tails(lam[r], zet[r], x[r])
         agree = np.abs(tails[:, 0] - tails[:, -1]) <= _AGREE_TOL
         tail = tails[agree, -1]
         out[r[agree]] = np.where(tail < _DEEP_TAIL, 0.0, np.minimum(tail, 1.0))
         for i in r[~agree]:
-            out[i] = _certified_upper(lam[i], zet[i], dfs[i], x[i])
+            out[i] = _certified_upper(lam[i], zet[i], x[i])
     return out
 
 
@@ -385,8 +378,7 @@ def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
     Raises QuadratureFailure when the certified fallback cannot meet its
     budget.
     """
-    return float(upper_tails([mix.weights], [x], [mix.noncentralities],
-                             [mix.dfs])[0])
+    return float(upper_tails([mix.weights], [x], [mix.noncentralities])[0])
 
 
 def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:

@@ -26,27 +26,28 @@ Every subset's null law is v_bar times a mixture that depends only on the
 levels and the weighting, so :class:`SubsetPlan` works it out once per
 call at unit scale: positions, weighting sub-matrix B_c, mixture weights
 and the noncentrality projection for all 2^K - 1 subsets, plus their
-membership matrix. One eigendecomposition per subset (``_mixture``) gives
-both the weights and the projection. The closure's p-values, the Monte
-Carlo engine's critical values and the analytic power are all read off
-that plan: statistics as s_c' B_c s_c / v_bar, alternative means as
-g / sqrt(v_bar). The inverse weighting is B_c = inv(bridge_c), whose
-equal mixture weights select the chi-square closed form.
+membership matrix. The subsets of each size are one stack, and one
+batched eigendecomposition per size (``_mixture``) gives both the weights
+and the projections. The closure's p-values, the Monte Carlo engine's
+critical values and the analytic power are all read off that plan:
+statistics as s_c' B_c s_c / v_bar, alternative means as g / sqrt(v_bar).
+The inverse weighting is B_c = inv(bridge_c), whose equal mixture weights
+select the chi-square closed form.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri, stdtrit
+from scipy.special import chdtrc, chndtr, gammaln, ndtri, stdtrit
 
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         validate, validate_spec)
-from .distributions import (WeightedChiSquareMixture, chisq_noncentral_upper,
-                            chisq_quantile, chisq_upper, mixture_quantile,
-                            upper_tails)
+from .distributions import (WeightedChiSquareMixture, chisq_quantile,
+                            chisq_upper, mixture_quantile, upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
 from .qrsolver import QuantileFit, fit_levels, rank_score_function
@@ -451,19 +452,21 @@ def statistic_standard(state: RankScoreState,
 
 def _mixture(a: np.ndarray, b: np.ndarray):
     """Eigendecomposition of a^{1/2} b a^{1/2}, the one behind every
-    generalized test: returns its eigenvalues lam (the mixture weights;
-    same spectrum as b @ a but numerically symmetric), its eigenvectors
-    and a^{-1/2}."""
+    generalized test, for one pair or a stack (..., m, m) of pairs: returns
+    its eigenvalues lam (the mixture weights; same spectrum as b @ a but
+    numerically symmetric), its eigenvectors and a^{-1/2}."""
     eigval, eigvec = np.linalg.eigh(a)
-    if eigval[0] <= 0.0 or eigval[0] <= 1e-14 * eigval[-1]:
+    low = eigval[..., 0]
+    if (low <= 0.0).any() or (low <= 1e-14 * eigval[..., -1]).any():
         raise SingularA("covariance matrix is numerically singular")
-    root = np.sqrt(eigval)
-    a_half = (eigvec * root) @ eigvec.T
+    root = np.sqrt(eigval)[..., None, :]
+    eigvec_t = np.swapaxes(eigvec, -1, -2)
+    a_half = (eigvec * root) @ eigvec_t
     sym = a_half @ b @ a_half
-    lam, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    if lam[0] <= 1e-12 * lam[-1]:
+    lam, vecs = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    if (lam[..., 0] <= 1e-12 * lam[..., -1]).any():
         raise NotPositiveDefinite("mixture weights are not all strictly positive")
-    return lam, vecs, (eigvec / root) @ eigvec.T
+    return lam, vecs, (eigvec / root) @ eigvec_t
 
 
 def mixture_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -472,37 +475,24 @@ def mixture_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mixture(a, b)[0]
 
 
-def _unit_reference(taus, bridge: np.ndarray, weighting: WeightingMatrix,
-                    subset: HypothesisSubset):
-    """Positions, unit-scale weighting B_c, mixture weights and projection
-    vecs' bridge_c^{-1/2} of one subset."""
-    pos = subset.positions()
-    b_c = weighting.materialize(taus, subset)
-    lam, vecs, a_inv_half = _mixture(bridge[pos][:, pos], b_c)
-    return pos, b_c, lam, vecs.T @ a_inv_half
+def _equal_weights(lam: np.ndarray):
+    return lam[..., -1] - lam[..., 0] <= _EQUAL_WEIGHT_RTOL * lam[..., -1]
 
 
-def _equal_weights(lam: np.ndarray) -> bool:
-    return lam[-1] - lam[0] <= _EQUAL_WEIGHT_RTOL * lam[-1]
-
-
-def _upper_tails(weights: list, q, zetas: list = None) -> np.ndarray:
-    """P(sum_i lam_i chi2_1(zeta_i) > q) for each subset's lam, q and
-    zetas, central when zetas is None. Equal weights use the exact scaled
-    chi-square; the others take one :func:`upper_tails` call per subset
-    size."""
-    q = np.asarray(q, dtype=float)
+def _size_tails(lam: np.ndarray, q: np.ndarray, zeta: np.ndarray = None) -> np.ndarray:
+    """P(sum_i lam_i chi2_1(zeta_i) > q) for each row of one subset size's
+    (C, m) weights, (C,) q and (C, m) zeta, central when zeta is None.
+    Rows with equal weights use the exact scaled chi-square; the others
+    take one :func:`upper_tails` call."""
+    equal = _equal_weights(lam)
     out = np.empty(q.size)
-    by_size = {}
-    for i, lam in enumerate(weights):
-        if _equal_weights(lam):
-            zeta = 0.0 if zetas is None else float(zetas[i].sum())
-            out[i] = chisq_noncentral_upper(q[i] / float(lam.mean()), lam.size, zeta)
-        else:
-            by_size.setdefault(lam.size, []).append(i)
-    for idx in by_size.values():
-        out[idx] = upper_tails([weights[i] for i in idx], q[idx],
-                               None if zetas is None else [zetas[i] for i in idx])
+    x = q[equal] / lam[equal].mean(axis=1)
+    z = 0.0 if zeta is None else zeta[equal].sum(axis=1)
+    p = np.where(z == 0.0, chdtrc(lam.shape[1], x), 1.0 - chndtr(x, lam.shape[1], z))
+    out[equal] = np.where(x <= 0.0, 1.0, p)
+    if not equal.all():
+        out[~equal] = upper_tails(lam[~equal], q[~equal],
+                                  None if zeta is None else zeta[~equal])
     return out
 
 
@@ -519,7 +509,9 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     if state.v_bar <= 1e-12:
         raise SingularProjection(
             "target covariate lies in the span of the nuisance design")
-    pos, b_c, lam, _ = _unit_reference(state.taus, state.bridge, weighting, subset)
+    pos = subset.positions()
+    b_c = weighting.materialize(state.taus, subset)
+    lam = mixture_weights(state.bridge[np.ix_(pos, pos)], b_c)
     s_c = state.score[pos]
     q = max(float(s_c @ b_c @ s_c), 0.0) / state.v_bar
     scale = 1.0 if weighting.kind == "inverse" else state.v_bar
@@ -529,7 +521,7 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     else:
         reference = WeightedChiSquareRef(weights=tuple(weights))
     return TestOutcome(statistic=scale * q, reference=reference,
-                       p_value=float(_upper_tails([lam], [q])[0]),
+                       p_value=float(_size_tails(lam[None], np.array([q]))[0]),
                        subset=subset)
 
 
@@ -564,58 +556,71 @@ def noncentrality_generalized(g: np.ndarray, a: np.ndarray,
 
 class SubsetPlan:
     """Every subset's local test at unit scale (see the module docstring),
-    in :func:`all_subsets` order: positions, B_c, mixture weights lam_c and
-    the projection vecs_c' bridge_c^{-1/2} taken from the eigendecomposition
-    that gives lam_c. ``member`` is the (2^K - 1) x K membership matrix,
+    in :func:`all_subsets` order, which puts the C = comb(K, m) subsets of
+    each size m in one block of rows. Each size is one stack: its rows (a
+    slice), positions (C, m), B_c (C, m, m), mixture weights lam_c (C, m)
+    and projections vecs_c' bridge_c^{-1/2} (C, m, m), all from one batched
+    eigendecomposition. ``member`` is the (2^K - 1) x K membership matrix,
     True where subset i contains hypothesis j + 1."""
 
     def __init__(self, taus, weighting: WeightingMatrix):
-        self.subsets = all_subsets(len(taus))
+        k = len(taus)
+        self.subsets = all_subsets(k)
         bridge = bridge_covariance(taus)
-        terms = [_unit_reference(taus, bridge, weighting, s) for s in self.subsets]
-        (self.positions, self.matrices, self.weights,
-         self.projections) = map(list, zip(*terms))
-        self.member = np.zeros((len(self.subsets), len(taus)), dtype=bool)
-        for row, pos in zip(self.member, self.positions):
-            row[pos] = True
+        self._stacks = []
+        start = 0
+        for m in range(1, k + 1):
+            rows = slice(start, start + math.comb(k, m))
+            start = rows.stop
+            pos = np.array([s.positions() for s in self.subsets[rows]])
+            b = np.stack([weighting.materialize(taus, s) for s in self.subsets[rows]])
+            bridge_c = bridge[pos[:, :, None], pos[:, None, :]]
+            lam, vecs, a_inv_half = _mixture(bridge_c, b)
+            self._stacks.append(
+                (rows, pos, b, lam, np.swapaxes(vecs, -1, -2) @ a_inv_half))
+        self.member = np.concatenate([np.eye(k, dtype=bool)[pos].any(axis=1)
+                                      for _, pos, *_ in self._stacks])
 
     def statistics(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Unit-scale statistic s_c' B_c s_c / v_bar of every subset."""
         if v_bar <= 1e-12:
             raise SingularProjection(
                 "target covariate lies in the span of the nuisance design")
-        return np.array([max(float(score[pos] @ b_c @ score[pos]), 0.0) / v_bar
-                         for pos, b_c in zip(self.positions, self.matrices)])
+        quad = [(score[pos][:, None, :] @ b @ score[pos][:, :, None])[:, 0, 0]
+                for _, pos, b, *_ in self._stacks]
+        return np.maximum(np.concatenate(quad), 0.0) / v_bar
 
     def p_values(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Null tail probability of every subset's statistic."""
-        return _upper_tails(self.weights, self.statistics(score, v_bar))
+        q = self.statistics(score, v_bar)
+        return np.concatenate([_size_tails(lam, q[rows])
+                               for rows, _, _, lam, _ in self._stacks])
 
     def critical_values(self, alpha: float) -> np.ndarray:
-        """Unit-scale level-alpha critical value of every subset; subsets with
-        the same mixture weights (mirror images) share one quantile."""
-        by_weights = {}
-        out = np.empty(len(self.subsets))
-        for i, lam in enumerate(self.weights):
-            key = tuple(np.round(lam, 14))
-            if key not in by_weights:
-                if _equal_weights(lam):
-                    by_weights[key] = float(lam.mean()) * chisq_quantile(
-                        alpha, lam.size)
-                else:
-                    by_weights[key] = mixture_quantile(
-                        WeightedChiSquareMixture(weights=tuple(lam)), alpha)
-            out[i] = by_weights[key]
-        return out
+        """Unit-scale level-alpha critical value of every subset; subsets of
+        one size with the same rounded mixture weights (mirror images) share
+        the quantile of the first of them."""
+        out = []
+        for _, _, _, lam, _ in self._stacks:
+            _, first, inverse = np.unique(np.round(lam, 14), axis=0,
+                                          return_index=True, return_inverse=True)
+            values = np.array([
+                float(row.mean()) * chisq_quantile(alpha, row.size)
+                if _equal_weights(row) else
+                mixture_quantile(WeightedChiSquareMixture(weights=tuple(row)), alpha)
+                for row in lam[first]])
+            # the shape of the inverse index differs across numpy releases
+            out.append(values[inverse.ravel()])
+        return np.concatenate(out)
 
     def power(self, g: np.ndarray, v_bar: float, alpha: float) -> list:
         """Rejection probability of every subset test when the score has
         mean g and covariance v_bar * bridge."""
         g_unit = np.asarray(g, dtype=float) / np.sqrt(v_bar)
-        zetas = [(proj @ g_unit[pos]) ** 2
-                 for pos, proj in zip(self.positions, self.projections)]
-        return _upper_tails(self.weights, self.critical_values(alpha),
-                            zetas).tolist()
+        crit = self.critical_values(alpha)
+        return np.concatenate([
+            _size_tails(lam, crit[rows], (proj @ g_unit[pos][:, :, None])[:, :, 0] ** 2)
+            for rows, pos, _, lam, proj in self._stacks]).tolist()
 
 
 def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,

@@ -348,7 +348,6 @@ def run_monte_carlo(scenario: Scenario,
                     methods: tuple = ("closed", "bonferroni", "holm", "raw"),
                     weightings=("identity",),
                     alpha: float = 0.05,
-                    null_values=None,
                     on_error: str = "record") -> MonteCarloReport:
     """Replicate the scenario and count rejections for each method.
 
@@ -388,7 +387,7 @@ def run_monte_carlo(scenario: Scenario,
     w_names = tuple(_weighting_name(w) for w in weightings)
     if len(set(w_names)) != len(w_names):
         raise ValueError(f"duplicate weighting names in {w_names}")
-    spec = validate_spec(QuantileSpec(scenario.taus, null_values))
+    spec = validate_spec(QuantileSpec(scenario.taus))
     plans = [SubsetPlan(spec.taus, w) for w in weightings]
     job = _Job(
         scenario=scenario, spec=spec, alpha=alpha, on_error=on_error,

@@ -112,8 +112,7 @@ def contour_rule_gaps(grid):
 
     gaps = []
     for lam, zet, x in grid:
-        dfs = np.ones_like(lam)
-        tail = _contour_tails(lam[None], zet[None], dfs[None], np.array([x]))[0, -1]
+        tail = _contour_tails(lam[None], zet[None], np.array([x]))[0, -1]
         gaps.append(abs(min(max(tail, 0.0), 1.0)
-                        - _certified_upper(lam, zet, dfs, x)))
+                        - _certified_upper(lam, zet, x)))
     return np.array(gaps)

@@ -314,12 +314,21 @@ def test_upper_tails_rows_match_imhof_upper():
     dfs = rng.integers(1, 4, (rows, k))
     x = np.sum(lam * (dfs + zet), axis=1) * 10.0 ** rng.uniform(-2.0, 1.0, rows)
     x[:3] = (0.0, -1.0, 1e4)
-    got = upper_tails(lam, x, zet, dfs)
+    # a component w chisq(h, z) is h one-degree components of weight w with
+    # noncentralities (z, 0, ...); rows of equal length form one batch
+    lam = [np.repeat(lam[r], dfs[r]) for r in range(rows)]
+    zet = [np.concatenate([[z] + [0.0] * (h - 1) for z, h in zip(zet[r], dfs[r])])
+           for r in range(rows)]
+    got = np.empty(rows)
+    for size in {w.size for w in lam}:
+        batch = [r for r in range(rows) if lam[r].size == size]
+        got[batch] = upper_tails([lam[r] for r in batch], x[batch],
+                                 [zet[r] for r in batch])
     assert got[:3].tolist() == [1.0, 1.0, 0.0]
     # batch and single row may sum the nodes in another order; the rule's
     # rounding level is about e^(0.355 N) eps = 2.6e-13 at N = 20
     for r in range(rows):
-        mix = WeightedChiSquareMixture(tuple(lam[r]), tuple(zet[r]), tuple(dfs[r]))
+        mix = WeightedChiSquareMixture(tuple(lam[r]), tuple(zet[r]))
         assert got[r] == pytest.approx(imhof_upper(mix, x[r]), abs=3e-13)
 
 
@@ -328,13 +337,13 @@ def test_disagreeing_rules_return_certified_value(monkeypatch):
     lam = rng.uniform(0.1, 2.0, (5, 4))
     x = lam.sum(axis=1) * np.array([0.3, 0.8, 1.0, 1.5, 3.0])
 
-    def disagreeing(lam, zet, dfs, x):
+    def disagreeing(lam, zet, x):
         return np.column_stack([np.full(x.size, 0.3), np.full(x.size, 0.7)])
 
     monkeypatch.setattr(distributions, "_contour_tails", disagreeing)
     got = upper_tails(lam, x)
     for r in range(5):
-        assert got[r] == _certified_upper(lam[r], np.zeros(4), np.ones(4), x[r])
+        assert got[r] == _certified_upper(lam[r], np.zeros(4), x[r])
 
 
 def test_certified_fallback_never_fires_on_benchmark_style_inputs(monkeypatch):

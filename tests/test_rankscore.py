@@ -10,7 +10,9 @@ from mqrank import (Dataset, HypothesisSubset, QuantileSpec,
                     statistic_standard, weighted_projection)
 from mqrank.distributions import (WeightedChiSquareMixture, imhof_upper,
                                   mixture_quantile)
-from mqrank.rankscore import ErrorFamily, bandwidth, hall_sheather_bandwidth
+from mqrank.multiplicity import closed_test
+from mqrank.rankscore import (ErrorFamily, SubsetPlan, _mixture, bandwidth,
+                              hall_sheather_bandwidth)
 from helpers import intercept_only_duals, make_dataset, synthetic_state
 
 # frozen from the same 1e7-draw oracle run as the distribution tests
@@ -392,6 +394,53 @@ def test_noncentrality_generalized_consistency():
     assert zetas.sum() == pytest.approx(noncentrality_standard(g, a), rel=1e-10)
     lam0, zetas0 = noncentrality_generalized(np.zeros(2), a, np.eye(2))
     assert np.allclose(zetas0, 0.0)
+
+
+def test_mixture_of_a_stack_equals_single_calls_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for m in (1, 2, 5):
+        g, h = rng.standard_normal((2, 7, m, m))
+        a = g @ np.swapaxes(g, -1, -2) + m * np.eye(m)
+        b = h @ np.swapaxes(h, -1, -2) + 0.1 * np.eye(m)
+        stacked = _mixture(a, b)
+        for c in range(7):
+            for got, want in zip(stacked, _mixture(a[c], b[c])):
+                assert np.array_equal(got[c], want)
+
+
+@pytest.mark.parametrize("k", [5, 9])
+@pytest.mark.parametrize("name", ["identity", "inverse", "diag-delta",
+                                  "density:normal", "custom"])
+def test_plan_stacks_equal_per_subset_terms(k, name):
+    """Each size's stack holds, row by row, what the per-subset
+    decomposition gives, bit for bit; the closure's local p-values agree
+    with statistic_generalized's one-row tails."""
+    taus = tuple(np.linspace(0.1, 0.9, k))
+    if name == "custom":
+        g = np.random.default_rng(k).standard_normal((k, k))
+        weighting = WeightingMatrix.custom(g @ g.T + k * np.eye(k))
+    else:
+        weighting = WeightingMatrix.parse(name)
+    v_bar = 1.3
+    state = synthetic_state(taus, np.random.default_rng(67).standard_normal(k),
+                            v_bar=v_bar)
+    plan = SubsetPlan(taus, weighting)
+    rows = [row for _, *stack in plan._stacks for row in zip(*stack)]
+    assert len(rows) == len(plan.subsets)
+    stats = plan.statistics(state.score, v_bar)
+    for subset, (pos, b_c, lam, proj), stat in zip(plan.subsets, rows, stats):
+        assert np.array_equal(pos, subset.positions())
+        assert np.array_equal(b_c, weighting.materialize(taus, subset))
+        want_lam, vecs, a_inv_half = _mixture(state.bridge[pos][:, pos], b_c)
+        assert np.array_equal(lam, want_lam)
+        assert np.array_equal(proj, vecs.T @ a_inv_half)
+        s_c = state.score[pos]
+        assert stat == max(float(s_c @ b_c @ s_c), 0.0) / v_bar
+    local_p = closed_test(state, weighting).local_p
+    assert min(local_p.values()) < 0.05 < max(local_p.values())
+    for subset, p in local_p.items():
+        assert p == pytest.approx(
+            statistic_generalized(state, subset, weighting).p_value, abs=1e-12)
 
 
 def test_noncentrality_generalized_moment_matches_mc():
