@@ -19,11 +19,11 @@ import numpy as np
 from .exceptions import TooManyHypotheses, ValidationError, ValidationIssue
 
 # Identity-weighted closed_test, n = 200, 2-core x86, effects 0 and 0.6,
-# fastest of 3-5 runs: 22-23 us per subset at K = 12 (0.09 s) and 25-26 us
-# at K = 15 (0.83-0.85 s), about 70% of it building the SubsetPlan; the
+# fastest of 3 runs: 12.5-13 us per subset at K = 12 (0.05 s) and 16-17 us
+# at K = 15 (0.53-0.56 s), 52-58% of it building the SubsetPlan; the
 # contour tails cost the same with or without signal.
 MAX_HYPOTHESES = 15
-_SECONDS_PER_SUBSET = (2e-5, 3e-5)
+_SECONDS_PER_SUBSET = (1.2e-5, 1.7e-5)
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,14 @@ class HypothesisSubset:
 def all_subsets(k: int):
     """Every nonempty subset of {1..k} in size-major, lexicographic order;
     TooManyHypotheses when K exceeds MAX_HYPOTHESES."""
+    return [HypothesisSubset(tuple(row)) for pos in subset_positions(k)
+            for row in (pos + 1).tolist()]
+
+
+def subset_positions(k: int) -> list:
+    """The 0-based positions of :func:`all_subsets` (k), one (comb(k, m), m)
+    array of lexicographic rows per subset size m = 1..k; TooManyHypotheses
+    when K exceeds MAX_HYPOTHESES."""
     if k > MAX_HYPOTHESES:
         subsets = 2 ** k - 1
         fast, slow = _SECONDS_PER_SUBSET
@@ -127,11 +135,8 @@ def all_subsets(k: int):
             f"exceeds the cap of {MAX_HYPOTHESES}. At the measured "
             f"{fast * 1e3:g}-{slow * 1e3:g} ms per identity-weighted subset "
             f"that is {subsets * fast:.1f}-{subsets * slow:.1f} s")
-    out = []
-    for size in range(1, k + 1):
-        for comb in combinations(range(1, k + 1), size):
-            out.append(HypothesisSubset(comb))
-    return out
+    return [np.array(list(combinations(range(k), m)), dtype=int)
+            for m in range(1, k + 1)]
 
 
 def validate(dataset: Dataset, spec: QuantileSpec):

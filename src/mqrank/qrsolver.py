@@ -208,7 +208,7 @@ def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray,
     interior = (a_hat > _BOUND_TOL) & (a_hat < 1.0 - _BOUND_TOL)
     generic = np.flatnonzero(interior.sum(axis=1) == p)
     rows = np.nonzero(interior[generic])[1].reshape(-1, p)
-    gamma = _solve_regular(Z[rows], np.take_along_axis(ys[generic], rows, axis=1))
+    gamma = solve_regular(Z[rows], np.take_along_axis(ys[generic], rows, axis=1))
     finite = np.isfinite(gamma).all(axis=1)
     generic, gamma = generic[finite], gamma[finite]
 
@@ -224,7 +224,7 @@ def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray,
     free_rows = np.nonzero(free)[1].reshape(-1, p)
     # Z[at_one].sum(axis=0) per block, summed over rows in the same order
     pinned = (at_one[:, :, None] * Z).sum(axis=1)
-    a_free = _solve_regular(np.swapaxes(Z[free_rows], 1, 2), rhs[generic] - pinned)
+    a_free = solve_regular(np.swapaxes(Z[free_rows], 1, 2), rhs[generic] - pinned)
     inside = np.all((a_free > -1e-9) & (a_free < 1.0 + 1e-9), axis=1)
 
     done = generic[inside]
@@ -239,7 +239,7 @@ def _apply(Z: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return (Z @ gammas[:, :, None])[:, :, 0]
 
 
-def _solve_regular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_regular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A[g] x = b[g] for a stack of square systems; rows of NaN where
     the LU factorization of A[g] meets an exactly zero pivot."""
     regular = np.linalg.slogdet(A)[0] != 0.0

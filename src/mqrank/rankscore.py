@@ -37,15 +37,14 @@ select the chi-square closed form.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, chndtr, gammaln, ndtri, stdtrit
+from scipy.special import betaln, chdtrc, chndtr, ndtri, stdtrit
 
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
-                        validate, validate_spec)
+                        subset_positions, validate, validate_spec)
 from .distributions import (WeightedChiSquareMixture, chisq_quantile,
                             chisq_upper, mixture_quantile, upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
@@ -61,6 +60,11 @@ _DENOM_GUARD = 1e-8
 _EQUAL_WEIGHT_RTOL = 1e-9
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# log(Gamma(x + 1/2) / (Gamma(x) sqrt(x))) = sum_k c_k x^(1 - 2k), the
+# asymptotic series with c_k = (2^(1 - 2k) - 2) B_2k / (2k (2k - 1));
+# five terms leave under 1e-15 from x = 15 on
+_LOG_GAMMA_RATIO = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432)
 
 
 def _normal_density(z: float) -> float:
@@ -99,6 +103,12 @@ def bridge_covariance(taus) -> np.ndarray:
     """K x K matrix with entries min(t_l, t_r) - t_l * t_r."""
     t = np.asarray(taus, dtype=float)
     return np.minimum.outer(t, t) - np.outer(t, t)
+
+
+def principal(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Principal sub-matrices of a square matrix a: (m, m) for one position
+    vector (m,), (C, m, m) for a (C, m) stack of them."""
+    return a[pos[..., :, None], pos[..., None, :]]
 
 
 @dataclass(frozen=True)
@@ -234,10 +244,7 @@ class RankScoreState:
     def covariance(self, subset: HypothesisSubset = None) -> np.ndarray:
         """Score covariance v_bar * bridge, optionally restricted to a subset."""
         a = self.v_bar * self.bridge
-        if subset is None:
-            return a
-        pos = subset.positions()
-        return a[np.ix_(pos, pos)]
+        return a if subset is None else principal(a, subset.positions())
 
 
 def score_state(dataset: Dataset, spec: QuantileSpec) -> RankScoreState:
@@ -302,16 +309,27 @@ class ErrorFamily:
 
     def density_at_quantile(self, tau: float) -> float:
         """Density at the tau-quantile, from scipy.special closed forms
-        (ndtri, stdtrit, gammaln) so that scipy.stats is never imported."""
+        (ndtri, stdtrit, betaln) so that scipy.stats is never imported."""
         if self.name == "normal":
             return float(_normal_density(ndtri(tau)))
         if self.name == "t":
             nu = float(self.df)
             q = stdtrit(nu, tau)
-            return float(np.exp(gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
-                                - 0.5 * np.log(nu * np.pi)
+            return float(np.exp(_t_log_normalizer(nu)
                                 - 0.5 * (nu + 1.0) * np.log1p(q * q / nu)))
         raise ValueError(f"unknown error family {self.name!r}")
+
+
+def _t_log_normalizer(nu: float) -> float:
+    """log of Gamma((nu + 1) / 2) / (Gamma(nu / 2) sqrt(nu pi)), within
+    2e-15 for every nu > 0. Any difference of log-gammas cancels as nu
+    grows (betaln's too, from nu of about 300 to 3e6), so from nu = 30 on
+    the ratio comes from its asymptotic series."""
+    if nu < 30.0:
+        return -betaln(0.5, 0.5 * nu) - 0.5 * np.log(nu)
+    x = 0.5 * nu
+    return (np.polynomial.polynomial.polyval(x ** -2.0, _LOG_GAMMA_RATIO) / x
+            - np.log(_SQRT_2PI))
 
 
 @dataclass(frozen=True)
@@ -345,8 +363,9 @@ class WeightingMatrix:
 
     @staticmethod
     def density_reciprocal(name: str, df: float = None) -> "WeightingMatrix":
-        if name == "t" and (df is None or df <= 0):
-            raise ValueError("t error family needs positive degrees of freedom")
+        if name == "t" and (df is None or not 0.0 < df < np.inf):
+            raise ValueError(
+                f"t error family needs finite positive degrees of freedom, got {df}")
         return WeightingMatrix(kind="density", family=ErrorFamily(name, df))
 
     @staticmethod
@@ -377,32 +396,34 @@ class WeightingMatrix:
         raise ValueError(f"unknown weighting {text!r}")
 
     def materialize(self, taus, subset: HypothesisSubset) -> np.ndarray:
-        """Unit-scale weighting matrix B_c for one subset of hypotheses.
+        """Unit-scale weighting matrix B_c for one subset of hypotheses."""
+        return self._sub_matrices(taus, subset.positions())
+
+    def _sub_matrices(self, taus, pos: np.ndarray) -> np.ndarray:
+        """Validated B_c for one position vector (m,) or a (C, m) stack.
 
         The "inverse" kind is inv(bridge_c), the inverse of the subset's
         score covariance at v_bar = 1, so its mixture weights are all one
-        and its statistic is chi-square; every other kind restricts a
-        fixed K x K specification to the subset's principal sub-matrix.
+        and its statistic is chi-square; every other kind cuts principal
+        sub-matrices from one fixed K x K specification.
         """
-        pos = subset.positions()
-        taus = tuple(taus)
+        t = np.asarray(taus, dtype=float)
         if self.kind == "identity":
-            b = np.eye(len(pos))
+            b = principal(np.eye(t.size), pos)
         elif self.kind == "inverse":
-            b = np.linalg.inv(bridge_covariance(taus)[np.ix_(pos, pos)])
-            b = 0.5 * (b + b.T)
+            b = np.linalg.inv(principal(bridge_covariance(t), pos))
+            b = 0.5 * (b + np.swapaxes(b, -1, -2))
         elif self.kind == "diag-delta":
-            t = np.asarray(taus)[pos]
-            b = np.diag(1.0 / (t * (1.0 - t)))
+            b = principal(np.diag(1.0 / (t * (1.0 - t))), pos)
         elif self.kind == "density":
-            dens = np.array([self.family.density_at_quantile(taus[i]) for i in pos])
-            b = np.diag(1.0 / dens ** 2)
+            dens = np.array([self.family.density_at_quantile(tau) for tau in t])
+            b = principal(np.diag(1.0 / dens ** 2), pos)
         elif self.kind == "custom":
-            if self.matrix.shape[0] != len(taus):
+            if self.matrix.shape[0] != t.size:
                 raise ValueError(
                     f"custom weighting is {self.matrix.shape[0]}x"
-                    f"{self.matrix.shape[0]} but K={len(taus)}")
-            b = self.matrix[np.ix_(pos, pos)]
+                    f"{self.matrix.shape[0]} but K={t.size}")
+            b = principal(self.matrix, pos)
         else:
             raise ValueError(f"unknown weighting kind {self.kind!r}")
         _check_spd(b, what=f"{self.kind} weighting matrix")
@@ -410,14 +431,22 @@ class WeightingMatrix:
 
 
 def _check_spd(b: np.ndarray, what: str) -> None:
+    """NotPositiveDefinite unless b, one matrix or a stack (..., m, m), is
+    finite, symmetric and positive definite; a stack's message describes
+    its first failing matrix."""
     if not np.isfinite(b).all():
         raise NotPositiveDefinite(f"{what} has non-finite entries")
-    asym = np.abs(b - b.T).max()
-    scale = max(1.0, float(np.abs(b).max()))
-    if asym > 1e-10 * scale:
-        raise NotPositiveDefinite(f"{what} is not symmetric (max asymmetry {asym:.2e})")
-    eig = np.linalg.eigvalsh(0.5 * (b + b.T))
-    if eig[0] <= 1e-10 * eig[-1] or eig[-1] <= 0.0:
+    b_t = np.swapaxes(b, -1, -2)
+    asym = np.abs(b - b_t).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))
+    bad = np.flatnonzero(asym > 1e-10 * scale)
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"{what} is not symmetric (max asymmetry {asym.flat[bad[0]]:.2e})")
+    eig = np.linalg.eigvalsh(0.5 * (b + b_t)).reshape(-1, b.shape[-1])
+    bad = np.flatnonzero((eig[:, 0] <= 1e-10 * eig[:, -1]) | (eig[:, -1] <= 0.0))
+    if bad.size:
+        eig = eig[bad[0]]
         raise NotPositiveDefinite(
             f"{what} is not positive definite (eigenvalues {eig.min():.3e}"
             f" .. {eig.max():.3e})")
@@ -511,7 +540,7 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
             "target covariate lies in the span of the nuisance design")
     pos = subset.positions()
     b_c = weighting.materialize(state.taus, subset)
-    lam = mixture_weights(state.bridge[np.ix_(pos, pos)], b_c)
+    lam = mixture_weights(principal(state.bridge, pos), b_c)
     s_c = state.score[pos]
     q = max(float(s_c @ b_c @ s_c), 0.0) / state.v_bar
     scale = 1.0 if weighting.kind == "inverse" else state.v_bar
@@ -569,13 +598,11 @@ class SubsetPlan:
         bridge = bridge_covariance(taus)
         self._stacks = []
         start = 0
-        for m in range(1, k + 1):
-            rows = slice(start, start + math.comb(k, m))
+        for pos in subset_positions(k):
+            rows = slice(start, start + len(pos))
             start = rows.stop
-            pos = np.array([s.positions() for s in self.subsets[rows]])
-            b = np.stack([weighting.materialize(taus, s) for s in self.subsets[rows]])
-            bridge_c = bridge[pos[:, :, None], pos[:, None, :]]
-            lam, vecs, a_inv_half = _mixture(bridge_c, b)
+            b = weighting._sub_matrices(taus, pos)
+            lam, vecs, a_inv_half = _mixture(principal(bridge, pos), b)
             self._stacks.append(
                 (rows, pos, b, lam, np.swapaxes(vecs, -1, -2) @ a_inv_half))
         self.member = np.concatenate([np.eye(k, dtype=bool)[pos].any(axis=1)
@@ -640,7 +667,7 @@ def analytic_power(taus, g, v_bar: float, weighting: WeightingMatrix,
     g = np.asarray(g, dtype=float)
     if g.shape != (k,):
         raise ValueError(f"g must have one entry per quantile level, got "
-                         f"{g.shape[0]} for K={k}")
+                         f"shape {g.shape} for K={k}")
     if not np.all(np.isfinite(g)):
         raise ValueError(f"g must be finite, got {g.tolist()}")
     if not 0.0 < alpha < 1.0:

@@ -32,13 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, QuantileSpec, all_subsets, validate_spec
+from scipy.special import chdtrc
+
+from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
+                        subset_positions, validate_spec)
 from .distributions import chisq_upper
 from .exceptions import MqrankError, SingularCovariance
 from .multiplicity import bonferroni, closure_adjust, holm
-from .qrsolver import fit_levels
+from .qrsolver import fit_levels, solve_regular
 from .rankscore import (SubsetPlan, WeightingMatrix, bridge_covariance,
-                        fit_with_sparsity, score_state)
+                        fit_with_sparsity, principal, score_state)
 
 DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
@@ -156,23 +159,27 @@ def wald_covariance(dataset: Dataset, spec: QuantileSpec):
 
 
 def wald_test(dataset: Dataset, spec: QuantileSpec) -> dict:
-    """Joint Wald p-value for every nonempty subset of the hypotheses."""
+    """Joint Wald p-value for every nonempty subset of the hypotheses, in
+    :func:`all_subsets` order, from one stacked solve per subset size.
+    SingularCovariance names the first subset in that order whose
+    covariance block is exactly singular or whose statistic is not finite
+    and nonnegative."""
     beta_hat, cov = wald_covariance(dataset, spec)
     dev = beta_hat - np.asarray(spec.null_values)
-    out = {}
-    for subset in all_subsets(spec.k):
-        pos = subset.positions()
-        sub = cov[np.ix_(pos, pos)]
-        try:
-            stat = float(dev[pos] @ np.linalg.solve(sub, dev[pos]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                f"Wald covariance singular for subset {subset}") from exc
-        if not np.isfinite(stat) or stat < 0.0:
-            raise SingularCovariance(
-                f"Wald statistic ill-conditioned for subset {subset}")
-        out[subset] = chisq_upper(stat, subset.size)
-    return out
+    p_values = []
+    for pos in subset_positions(spec.k):
+        sub = principal(cov, pos)
+        d = dev[pos]
+        stat = (d[:, None, :] @ solve_regular(sub, d)[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero(~np.isfinite(stat) | (stat < 0.0))
+        if bad.size:
+            problem = ("covariance singular"
+                       if np.linalg.slogdet(sub[bad[0]])[0] == 0.0
+                       else "statistic ill-conditioned")
+            raise SingularCovariance(f"Wald {problem} for subset "
+                                     f"{HypothesisSubset(tuple(pos[bad[0]] + 1))}")
+        p_values.append(chdtrc(pos.shape[1], stat))
+    return dict(zip(all_subsets(spec.k), np.concatenate(p_values).tolist()))
 
 
 # --- Monte Carlo engine --------------------------------------------------------

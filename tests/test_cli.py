@@ -332,6 +332,15 @@ def test_cmd_power_non_finite_input_exit_2(capsys, flag, value):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("df", ["nan", "inf"])
+def test_cmd_power_non_finite_t_density_df_exit_2(capsys, df):
+    assert run_cli("power", "--taus", "0.25,0.75", "--g", "0.5,0.5",
+                   "--weighting", f"density:t:{df}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite positive degrees of freedom" in captured.err
+
+
 def test_cmd_power_csv(capsys):
     code = run_cli("power", "--taus", "0.25,0.75", "--g", "0.5,0.5",
                    "--format", "csv")

@@ -1,6 +1,10 @@
+import re
+
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import chi2, norm, t as student_t
+from scipy.special import stdtrit
+from scipy.stats import chi2, norm
 
 from mqrank import (Dataset, HypothesisSubset, QuantileSpec,
                     NotPositiveDefinite, SingularProjection, WeightingMatrix,
@@ -443,6 +447,46 @@ def test_plan_stacks_equal_per_subset_terms(k, name):
             statistic_generalized(state, subset, weighting).p_value, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [5, 9])
+def test_plan_weighting_stacks_equal_independent_reference(k):
+    """Every subset's B_c in the plan's stacks, bit for bit against a
+    per-subset construction from its definition."""
+    taus = tuple(np.linspace(0.1, 0.9, k))
+    t = np.asarray(taus)
+    bridge = bridge_covariance(taus)
+    g = np.random.default_rng(k).standard_normal((k, k))
+    custom = g @ g.T + k * np.eye(k)
+    families = {"density:normal": ErrorFamily("normal"),
+                "density:t:3": ErrorFamily("t", 3.0)}
+
+    def reference(name, pos):
+        if name == "identity":
+            return np.eye(pos.size)
+        if name == "diag-delta":
+            return np.diag(1.0 / (t[pos] * (1.0 - t[pos])))
+        if name in families:
+            dens = np.array([families[name].density_at_quantile(tau)
+                             for tau in t[pos]])
+            return np.diag(1.0 / dens ** 2)
+        if name == "custom":
+            return custom[np.ix_(pos, pos)]
+        inv = np.linalg.inv(bridge[np.ix_(pos, pos)])
+        return 0.5 * (inv + inv.T)
+
+    for name in ("identity", "inverse", "diag-delta", "density:normal",
+                 "density:t:3", "custom"):
+        weighting = (WeightingMatrix.custom(custom) if name == "custom"
+                     else WeightingMatrix.parse(name))
+        plan = SubsetPlan(taus, weighting)
+        stacked = [b_c for _, _, b, *_ in plan._stacks for b_c in b]
+        assert len(stacked) == len(plan.subsets)
+        for subset, b_c in zip(plan.subsets, stacked):
+            assert np.array_equal(b_c, reference(name, subset.positions())), \
+                (name, str(subset))
+    with pytest.raises(ValueError, match=f"but K={k - 1}"):
+        SubsetPlan(taus[:-1], WeightingMatrix.custom(custom))
+
+
 def test_noncentrality_generalized_moment_matches_mc():
     rng = np.random.default_rng(47)
     a = bridge_covariance((0.25, 0.75))
@@ -485,6 +529,12 @@ def test_analytic_power_inverse_equals_explicit_standard():
         direct = chisq_noncentral_upper(chisq_quantile(0.05, sub.size),
                                         sub.size, zeta)
         assert p == pytest.approx(direct, abs=1e-8)
+
+
+@pytest.mark.parametrize("g", [0.5, [[0.5, 0.5]]])
+def test_analytic_power_names_the_shape_of_a_misshapen_g(g):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(g)} for K=2")):
+        analytic_power((0.25, 0.75), g, 1.0, WeightingMatrix.identity())
 
 
 def test_analytic_power_increases_with_signal():
@@ -535,14 +585,38 @@ def test_normal_family_density_equals_scipy_stats_exactly():
             float(norm.pdf(norm.ppf(tau)))
 
 
-def test_t_family_density_matches_scipy_stats():
-    # gammaln differences in place of scipy's log(poch): a few ulps apart
-    taus = np.linspace(0.001, 0.999, 999)
-    for df in (1.0, 2.5, 3.0, 5.0, 30.0, 300.0):
+def test_t_family_density_matches_mpmath():
+    # scipy.stats itself is 1.3e-13 off at df = 300 (a log-gamma
+    # difference), so the reference is the density in extended precision
+    # at the same double-precision quantile
+    taus = np.linspace(0.001, 0.999, 99)
+    for df in (1.0, 2.5, 3.0, 5.0, 30.0, 300.0, 3e3, 1e5, 1e8, 1e15, 1e20, 1e300):
         family = ErrorFamily("t", df)
-        got = np.array([family.density_at_quantile(float(tau)) for tau in taus])
-        expected = student_t.pdf(student_t.ppf(taus, df), df)
-        assert np.max(np.abs(got / expected - 1.0)) <= 1e-14
+        with mpmath.workdps(int(np.log10(df)) + 30):
+            nu = mpmath.mpf(df)
+            norm_const = mpmath.exp(mpmath.loggamma((nu + 1) / 2)
+                                    - mpmath.loggamma(nu / 2)) / mpmath.sqrt(nu * mpmath.pi)
+            for tau in taus:
+                q = mpmath.mpf(float(stdtrit(df, tau)))
+                want = norm_const * (1 + q * q / nu) ** (-(nu + 1) / 2)
+                got = family.density_at_quantile(float(tau))
+                assert abs(float(got / want) - 1.0) <= 1e-14, (df, tau)
+
+
+def test_t_family_density_tends_to_normal():
+    """Beyond df = 1e16 the t density equals the normal one in double
+    precision; a difference of log-gammas was 21 times too large at 1e15."""
+    for df in (1e16, 1e20, 1e100, 1e300):
+        family = ErrorFamily("t", df)
+        for tau in (0.01, 0.1, 0.5, 0.9, 0.99):
+            assert family.density_at_quantile(tau) == pytest.approx(
+                norm.pdf(norm.ppf(tau)), rel=1e-13)
+
+
+@pytest.mark.parametrize("df", [float("nan"), float("inf"), 0.0, -1.0])
+def test_t_family_rejects_non_finite_or_non_positive_df(df):
+    with pytest.raises(ValueError, match="finite positive degrees of freedom"):
+        WeightingMatrix.density_reciprocal("t", df)
 
 
 def test_custom_weighting_validation_and_subsetting():

@@ -14,8 +14,10 @@ from mqrank import (HypothesisSubset, MqrankError, QuantileSpec, Scenario,
                     estimate_sparsity, fit, generate, run_monte_carlo,
                     score_state, wald_test)
 from mqrank.exceptions import (BandwidthInfeasible, SingularCovariance,
-                               SingularProjection, ValidationError,
-                               ValidationIssue)
+                               SingularProjection, TooManyHypotheses,
+                               ValidationError, ValidationIssue)
+from mqrank.datamodel import MAX_HYPOTHESES, all_subsets
+from mqrank.distributions import chisq_upper
 from mqrank.simulation import (load_scenario, parse_scenario_text,
                                target_coefficients, wald_covariance)
 
@@ -176,6 +178,63 @@ def test_wald_batches_equal_per_level_fits():
     beta_hat, cov = wald_covariance(ds, spec)
     assert np.array_equal(beta_hat, beta_loop)
     assert np.array_equal(cov, cov_loop)
+
+
+def _per_subset_wald(dataset, spec):
+    """wald_test one subset at a time, from its definition."""
+    beta_hat, cov = wald_covariance(dataset, spec)
+    dev = beta_hat - np.asarray(spec.null_values)
+    out = {}
+    for subset in all_subsets(spec.k):
+        pos = subset.positions()
+        stat = float(dev[pos] @ np.linalg.solve(cov[np.ix_(pos, pos)], dev[pos]))
+        out[subset] = chisq_upper(stat, subset.size)
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 5, 9])
+def test_wald_test_equals_per_subset_solves(k):
+    taus = tuple(np.linspace(0.1, 0.9, k))
+    spec = QuantileSpec(taus, tuple(np.linspace(-0.1, 0.1, k)))
+    sc = Scenario(dgp="hetero_normal", beta=0.2, n=150, replications=3, seed=53)
+    for rep in range(3):
+        ds = generate(sc, rep)
+        got = wald_test(ds, spec)
+        want = _per_subset_wald(ds, spec)
+        assert list(got) == list(want)
+        assert all(type(got[s]) is float and got[s] == want[s] for s in want)
+
+
+def _fixed_wald_covariance(monkeypatch, beta_hat, cov):
+    monkeypatch.setattr(sim, "wald_covariance",
+                        lambda dataset, spec: (np.asarray(beta_hat), np.asarray(cov)))
+
+
+def test_wald_test_names_first_singular_subset(monkeypatch):
+    # hypotheses 1 and 2 have identical rows: every subset holding both is
+    # singular, and 1,2 comes first
+    _fixed_wald_covariance(monkeypatch, [0.3, -0.2, 0.1],
+                           [[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
+    with pytest.raises(SingularCovariance,
+                       match=r"^Wald covariance singular for subset 1,2$"):
+        wald_test(None, QuantileSpec((0.25, 0.5, 0.75)))
+
+
+def test_wald_test_names_first_ill_conditioned_subset(monkeypatch):
+    # an indefinite covariance: the blocks of 1,3 and of 2,3 both give a
+    # negative statistic, while 1,2 is positive definite
+    _fixed_wald_covariance(monkeypatch, [1.0, 1.0, 0.0],
+                           [[1.0, 0.1, 2.0], [0.1, 1.0, 3.0], [2.0, 3.0, 1.0]])
+    with pytest.raises(SingularCovariance,
+                       match=r"^Wald statistic ill-conditioned for subset 1,3$"):
+        wald_test(None, QuantileSpec((0.25, 0.5, 0.75)))
+
+
+def test_wald_test_stops_above_the_cap(monkeypatch):
+    k = MAX_HYPOTHESES + 1
+    _fixed_wald_covariance(monkeypatch, np.zeros(k), np.eye(k))
+    with pytest.raises(TooManyHypotheses, match=str(2 ** k - 1)):
+        wald_test(None, QuantileSpec(tuple(np.linspace(0.04, 0.96, k))))
 
 
 def test_wald_pvalues_approach_uniformity_at_large_n():
