@@ -4,7 +4,8 @@ Central chi-square tails and quantiles are scipy.special's closed forms
 (chdtrc, chdtri; chi2.sf and chi2.isf call the same functions behind
 their argument handling), and the noncentral tail is 1 - chndtr.
 scipy.stats is not imported: its import alone costs more than a typical
-closed test.
+closed test. Nor are scipy.optimize and scipy.linalg: quantiles have a
+solver of their own (below).
 
 Tail probabilities of positively weighted sums of independent
 (noncentral) chi-square variables with one degree of freedom each,
@@ -32,10 +33,12 @@ at theta = k * step, the k = 0 term halved; 1 - phi is taken as
 near 1. Since mu x is fixed, e^{s x} s' / s is one constant vector per N,
 and rounding grows like e^{0.355 N} eps, so N stays near 20.
 :func:`upper_tails` evaluates every row of a batch at N = 16 and N = 20
-as one complex array, in bounded blocks, and returns the N = 20 value
-clipped to [0, 1] where the two agree within 1e-10. The rule costs the
-same at any x, so the deep tail takes it too; an agreeing N = 20 value
-below 1e-12, about four times its rounding level, is returned as 0.
+as one complex array, in bounded blocks, sums each row's nodes on their
+own, so that a row's value does not depend on its batch, and returns the
+N = 20 value clipped to [0, 1] where the two agree within 1e-10. The
+rule costs the same at any x, so the deep tail takes it too; an agreeing
+N = 20 value below 1e-12, about four times its rounding level, is
+returned as 0.
 
 A row whose two node counts disagree goes to the certified rule, which
 inverts the characteristic function instead (Imhof's method):
@@ -65,6 +68,26 @@ by the 21-point Gauss-Kronrod rule on panels no longer than one cycle,
 with all nodes of a round evaluated as numpy arrays in bounded blocks.
 Panels whose |K21 - G10| exceeds their share of a 1e-10 budget are
 bisected and evaluated again.
+
+Quantiles, x with P(Q > x) = alpha, come from one solver for a whole
+batch of mixtures: safeguarded Newton steps on log P(Q > x). The density
+of Q has the Laplace transform phi(s) itself, so on the same nodes
+
+    f(x) ~= Im sum_k c_k phi(s_k) s_k,    s_k = nodes_k / x,
+
+and one log phi array gives both the tail and the density. Each row
+starts at the moment-matched scaled chi-square a chisq_nu(alpha), with
+a = var / (2 mean) and nu = 2 mean^2 / var (noncentralities included),
+and keeps a bracket of the points whose tails lie above and below alpha.
+It bisects the bracket (doubles x while it has no upper point) wherever
+its Newton step is not finite, would leave the bracket, or is not half
+the step two iterations back. That last rule, from Numerical Recipes'
+rtsafe, ends the iteration where the tail's rounding, about 1e-14,
+stops Newton steps from shrinking. A row whose N = 16 and N = 20 tails
+disagree takes the certified tail and bisects. A row stops once its step
+is within 1e-13 x, or as soon as its tail equals alpha exactly. Rows
+share no arithmetic, so a row's quantile is the same bits in any batch.
+Tails below 1e-12 read 0, so the solver refuses alpha <= 1e-12.
 """
 
 from __future__ import annotations
@@ -72,8 +95,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 from scipy.special import chdtrc, chdtri, chndtr
 
 from .exceptions import QuadratureFailure
@@ -101,6 +122,12 @@ _STEP = 1.0818
 _MU = 4.4921
 _NODE_COUNTS = (16, 20)
 _AGREE_TOL = 1e-10
+
+# A quantile iteration stops once its step is within _STEP_RTOL of x, so
+# that weights differing in their last bits give powers within 1e-12; a
+# row still moving after _MAX_ITERATIONS steps raises QuadratureFailure.
+_STEP_RTOL = 1e-13
+_MAX_ITERATIONS = 100
 
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21). The half tables
 # run from the outermost abscissa to 0; the 10-point Gauss rule uses every
@@ -203,23 +230,39 @@ def _contour(n):
 
 
 def _contour_rules():
-    """Nodes of every rule in _NODE_COUNTS, concatenated, and the
-    block-diagonal (nodes, rules) matrix of their coefficients."""
+    """Nodes and coefficients of every rule in _NODE_COUNTS, concatenated,
+    and the slice of each rule in them."""
     parts = [_contour(n) for n in _NODE_COUNTS]
+    ends = np.cumsum([z.size for z, _ in parts])
     return (np.concatenate([z for z, _ in parts]),
-            block_diag(*[c[:, None] for _, c in parts]))
+            np.concatenate([c for _, c in parts]),
+            [slice(end - z.size, end) for end, (z, _) in zip(ends, parts)])
 
 
-_NODES, _COEF = _contour_rules()
+_NODES, _COEF, _RULES = _contour_rules()
+
+
+def _log_phi(lam, zet, x):
+    """log phi(s) at the nodes s = _NODES / x_r of every rule, for each row
+    r; shape (rows, nodes)."""
+    t = (2.0 / x)[:, None, None] * lam[:, None, :] * _NODES[:, None]
+    log_phi = -0.5 * np.log1p(t).sum(axis=2)
+    if zet.any():
+        log_phi -= (t / (1.0 + t) * (0.5 * zet)[:, None, :]).sum(axis=2)
+    return log_phi
+
+
+def _rule_sums(values):
+    """Im sum_k c_k values_k over the nodes of every rule in _NODE_COUNTS,
+    shape (rows, rules). Each row is summed on its own, in one fixed
+    order, so its value does not depend on the batch it came in."""
+    terms = values.real * _COEF.imag + values.imag * _COEF.real
+    return np.column_stack([terms[:, rule].sum(axis=1) for rule in _RULES])
 
 
 def _contour_tails(lam, zet, x):
     """P(Q > x) of each row by every rule in _NODE_COUNTS, shape (rows, rules)."""
-    t = (2.0 / x)[:, None, None] * lam[:, None, :] * _NODES[:, None]
-    log_phi = -0.5 * np.log1p(t).sum(axis=2)
-    if zet.any():
-        log_phi -= np.einsum("rnk,rk->rn", t / (1.0 + t), 0.5 * zet)
-    return (-np.expm1(log_phi) @ _COEF).imag
+    return _rule_sums(-np.expm1(_log_phi(lam, zet, x)))
 
 
 def _integrand(u, lam, zet, x):
@@ -381,19 +424,77 @@ def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
     return float(upper_tails([mix.weights], [x], [mix.noncentralities])[0])
 
 
-def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:
-    """Critical value x with imhof_upper(mix, x) = alpha: brentq to 1e-12
-    in x on a bracket [0, hi] that doubles until its tail is below alpha.
-    With a looser xtol, weights that differ only in their last bits could
-    give roots up to xtol apart, and powers that differ with them."""
+def _tail_and_density(lam, zet, x):
+    """P(Q > x) and its density at x for each row: both by the N = 20
+    contour rule, from one log phi array, where N = 16 agrees on the tail
+    within 1e-10; the certified tail and a nan density otherwise."""
+    log_phi = _log_phi(lam, zet, x)
+    tails = _rule_sums(-np.expm1(log_phi))
+    tail = tails[:, -1]
+    density = _rule_sums(np.exp(log_phi) * _NODES)[:, -1] / x
+    for i in np.flatnonzero(~(np.abs(tails[:, 0] - tail) <= _AGREE_TOL)):
+        tail[i] = _certified_upper(lam[i], zet[i], x[i])
+        density[i] = np.nan
+    return tail, density
+
+
+def _newton_quantiles(lam, zet, alpha):
+    """x_r with P(Q_r > x_r) = alpha for every row r of a batch of
+    mixtures, lam and zet of shape (rows, K) (see the module docstring).
+    Raises ValueError unless 1e-12 < alpha < 1, and QuadratureFailure when
+    a row still moves after _MAX_ITERATIONS steps or its certified tail
+    fails."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    hi = mix.mean() + 10.0 * np.sqrt(mix.variance())
-    for _ in range(200):
-        if imhof_upper(mix, hi) < alpha:
-            break
-        hi *= 2.0
-    else:
-        raise QuadratureFailure("failed to bracket the mixture quantile")
-    return float(brentq(lambda t: imhof_upper(mix, t) - alpha, 0.0, hi,
-                        xtol=1e-12, rtol=1e-12))
+    rows, k = lam.shape
+    if rows and alpha <= _DEEP_TAIL:
+        raise ValueError(f"alpha must be above {_DEEP_TAIL:g} for a chi-square "
+                         f"mixture quantile, the floor of its tail rule; got {alpha}")
+    out = np.empty(rows)
+    block = max(1, _BLOCK // (_NODES.size * k))
+    for start in range(0, rows, block):
+        sl = slice(start, start + block)
+        out[sl] = _newton_block(lam[sl], zet[sl], alpha)
+    return out
+
+
+def _newton_block(lam, zet, alpha):
+    """The iteration of :func:`_newton_quantiles` for one block of rows."""
+    mean = np.sum(lam * (1.0 + zet), axis=1)
+    var = np.sum(lam * lam * (2.0 + 4.0 * zet), axis=1)
+    x = var / (2.0 * mean) * chdtri(2.0 * mean * mean / var, alpha)
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    lo, hi = np.zeros(x.size), np.full(x.size, np.inf)
+    # |step| of the last two iterations
+    older, last = np.full(x.size, np.inf), np.full(x.size, np.inf)
+    for _ in range(_MAX_ITERATIONS):
+        tail, density = _tail_and_density(lam[live], zet[live], x)
+        lo = np.where(tail > alpha, x, lo)
+        hi = np.where(tail < alpha, x, hi)
+        hit = tail == alpha
+        # a non-finite tail or density gives a non-finite step: bisect
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x + np.log(tail / alpha) * tail / density
+        inside = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * older)
+        new = np.where(inside, newton,
+                       np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * x))
+        step = np.abs(new - x)
+        done = hit | (step <= _STEP_RTOL * new)
+        out[live[done]] = np.where(hit, x, new)[done]
+        keep = ~done
+        live, x, lo, hi = live[keep], new[keep], lo[keep], hi[keep]
+        older, last = last[keep], step[keep]
+        if live.size == 0:
+            return out
+    raise QuadratureFailure("mixture quantile did not converge in "
+                            f"{_MAX_ITERATIONS} steps")
+
+
+def mixture_quantile(mix: WeightedChiSquareMixture, alpha: float) -> float:
+    """Critical value x with imhof_upper(mix, x) = alpha: the one-row case
+    of the batched quantile solver (see the module docstring), to about
+    1e-13 in x. Raises ValueError unless 1e-12 < alpha < 1, and
+    QuadratureFailure when the solver does not converge."""
+    return float(_newton_quantiles(np.array([mix.weights]),
+                                   np.array([mix.noncentralities]), alpha)[0])

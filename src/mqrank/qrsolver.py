@@ -40,6 +40,13 @@ HiGHS presolve is off. Each block is already in reduced form (box bounds
 presolve finds nothing to remove and only adds work: over the 200 stacked
 solves of a 100-replication K = 5 Monte Carlo run, HiGHS's own time fell
 from 0.38 s to 0.15 s (2-core x86), with bit-identical fits.
+
+``scipy.optimize`` and ``scipy.sparse`` are imported at the first solve,
+not with the package: together they cost about 0.1 s, a third of a CLI
+call that solves no LP (``mqrank power``). The module-level ``linprog``
+is a thin function that imports scipy's ``linprog`` on its first call and
+forwards to it, so it stays one module attribute that callers can
+replace.
 """
 
 from __future__ import annotations
@@ -47,8 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .exceptions import Degenerate, NotConverged
 
@@ -155,12 +160,21 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
     return fits
 
 
-def _block_diagonal(Z: np.ndarray, blocks: int) -> csc_matrix:
-    """CSC form of the block-diagonal matrix with `blocks` copies of Z'.
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call (see the module
+    docstring)."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
+
+def _block_diagonal(Z: np.ndarray, blocks: int):
+    """scipy.sparse CSC form of the block-diagonal matrix with `blocks`
+    copies of Z'.
 
     Column b*n + i holds the nonzero entries of row i of Z in constraint
     rows b*p .. b*p + p - 1, the layout a dense Z' converts to.
     """
+    from scipy.sparse import csc_matrix
     n, p = Z.shape
     nonzero = Z != 0.0
     rows = np.nonzero(nonzero)[1]

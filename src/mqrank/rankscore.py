@@ -45,8 +45,8 @@ from scipy.special import betaln, chdtrc, chndtr, ndtri, stdtrit
 
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         subset_positions, validate, validate_spec)
-from .distributions import (WeightedChiSquareMixture, chisq_quantile,
-                            chisq_upper, mixture_quantile, upper_tails)
+from .distributions import (_newton_quantiles, chisq_quantile, chisq_upper,
+                            upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
 from .qrsolver import QuantileFit, fit_levels, rank_score_function
@@ -626,16 +626,21 @@ class SubsetPlan:
     def critical_values(self, alpha: float) -> np.ndarray:
         """Unit-scale level-alpha critical value of every subset; subsets of
         one size with the same rounded mixture weights (mirror images) share
-        the quantile of the first of them."""
+        the quantile of the first of them. Equal weights give a scaled
+        chi-square quantile, and the other distinct rows of a size one
+        batched quantile solve."""
         out = []
         for _, _, _, lam, _ in self._stacks:
             _, first, inverse = np.unique(np.round(lam, 14), axis=0,
                                           return_index=True, return_inverse=True)
-            values = np.array([
-                float(row.mean()) * chisq_quantile(alpha, row.size)
-                if _equal_weights(row) else
-                mixture_quantile(WeightedChiSquareMixture(weights=tuple(row)), alpha)
-                for row in lam[first]])
+            rows = lam[first]
+            equal = _equal_weights(rows)
+            values = np.empty(rows.shape[0])
+            values[equal] = (rows[equal].mean(axis=1)
+                             * chisq_quantile(alpha, lam.shape[1]))
+            mixtures = rows[~equal]
+            values[~equal] = _newton_quantiles(mixtures, np.zeros_like(mixtures),
+                                               alpha)
             # the shape of the inverse index differs across numpy releases
             out.append(values[inverse.ravel()])
         return np.concatenate(out)

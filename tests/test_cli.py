@@ -300,6 +300,16 @@ def test_cmd_power_inverse_matches_identity_path_when_equivalent(capsys):
     assert joint["power"] == pytest.approx(0.7174789, abs=3 * 0.000142)
 
 
+def test_cmd_power_alpha_below_mixture_tail_floor_exit_2(capsys):
+    # mixture tails below 1e-12 read 0, which gave power 0.0 under the null
+    # for every multi-level subset; the quantile solver now refuses them
+    assert run_cli("power", "--taus", "0.1,0.5,0.9", "--g", "0,0,0", "--vn", "1",
+                   "--weighting", "identity", "--alpha", "1e-15") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1e-12" in captured.err
+
+
 def test_cmd_power_too_many_levels_exit_3(capsys):
     taus = ",".join(f"{t:.4f}" for t in np.linspace(0.04, 0.96, 16))
     g = ",".join(["0.1"] * 16)

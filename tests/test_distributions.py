@@ -16,6 +16,7 @@ from mqrank import (HypothesisSubset, QuantileSpec, WeightedChiSquareMixture,
                     distributions, imhof_upper, mixture_quantile,
                     score_state, upper_tails)
 from mqrank.distributions import _certified_upper, chisq_quantile
+from mqrank.exceptions import QuadratureFailure
 from mqrank.rankscore import SubsetPlan, mixture_weights
 
 # Monte Carlo oracle values, frozen from 1e7-draw runs (helpers/oracle
@@ -66,17 +67,30 @@ def test_chisq_noncentral_matches_scipy_stats_on_grid():
             assert np.max(np.abs(got - ncx2.sf(xs, k, zeta))) <= 1e-12
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # nor the process pool, which only run_monte_carlo imports
+def _loaded_after(code, modules):
+    """The entries of `modules` loaded after a fresh interpreter runs `code`."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)))
-    unloaded = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, mqrank, mqrank.cli; print([m for m in {unloaded!r} "
-         "if m in sys.modules])"],
+         f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # nor the process pool, which only run_monte_carlo imports, nor the
+    # parts of scipy that only an LP solve needs
+    unloaded = ["scipy.stats", "multiprocessing", "concurrent.futures.process",
+                "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    assert _loaded_after("import mqrank, mqrank.cli", unloaded) == "[]"
+
+
+def test_power_command_never_loads_scipy_optimize():
+    run = ("from mqrank.cli import main\n"
+           "assert main(['power', '--taus', '0.1,0.25,0.5,0.75,0.9', '--g', "
+           "'0.3,0.2,0.1,0,0', '--weighting', 'density:normal']) == 0")
+    assert _loaded_after(run, ["scipy.optimize"]) == "[]"
 
 
 def test_chisq_noncentral_zero_equals_central():
@@ -180,6 +194,93 @@ def test_power_stable_under_last_bit_changes_in_weights():
         powers.append(imhof_upper(WeightedChiSquareMixture(
             weights=tuple(lam), noncentralities=(2.0,) * 6), crit))
     assert abs(powers[0] - powers[1]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=9),
+       nc=st.lists(st.floats(0.0, 60.0), min_size=9, max_size=9),
+       level=st.floats(-10.0, float(np.log10(0.9))))
+def test_mixture_quantile_meets_alpha_property(weights, nc, level):
+    # the returned x has tail alpha to 1e-12, or brackets alpha within
+    # 1e-13 x where the tail's rounding is coarser than that
+    lam, zet, alpha = np.array(weights), np.array(nc[:len(weights)]), 10.0 ** level
+    x = mixture_quantile(WeightedChiSquareMixture(tuple(lam), tuple(zet)), alpha)
+    around = x * np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+    tails = upper_tails(np.tile(lam, (3, 1)), around, np.tile(zet, (3, 1)))
+    assert abs(tails[1] - alpha) <= 1e-12 or tails[0] >= alpha >= tails[2]
+
+
+def test_quantile_iterate_with_tail_equal_to_alpha_is_returned(monkeypatch):
+    # a tail flat at alpha on [2, 3], falling like exp(-2 x) elsewhere, with
+    # half its true density: from the start chdtri(1, alpha) = 3.84 the
+    # first Newton step lands inside the flat stretch, where the tail
+    # equals alpha exactly; that iterate is the quantile, and nothing is
+    # evaluated after it
+    alpha = 0.05
+    seen = []
+
+    def flat_at_alpha(lam, zet, x):
+        seen.extend(x.tolist())
+        tail = alpha * np.exp(-2.0 * (np.minimum(x - 2.0, 0.0)
+                                      + np.maximum(x - 3.0, 0.0)))
+        return tail, np.where(tail == alpha, 0.0, tail)
+
+    monkeypatch.setattr(distributions, "_tail_and_density", flat_at_alpha)
+    x = mixture_quantile(WeightedChiSquareMixture(weights=(1.0,)), alpha)
+    assert seen[0] == chisq_quantile(alpha, 1)
+    assert len(seen) == 2 and 2.0 < seen[1] < 3.0
+    assert x == seen[1]
+
+
+@pytest.mark.parametrize("name", ["identity", "density:t:3"])
+def test_critical_values_equal_one_row_solves(name):
+    # one batched solve per subset size gives each row the bits of its own
+    # one-row solve; a size's mirror images share the first one's value
+    taus = tuple(round(0.1 * i, 1) for i in range(1, 10))
+    plan = SubsetPlan(taus, WeightingMatrix.parse(name))
+    crit = plan.critical_values(0.05)
+    for rows, _, _, lam, _ in plan._stacks:
+        first = {}
+        for i, row in zip(range(rows.start, rows.stop), lam):
+            w = first.setdefault(tuple(np.round(row, 14)), row)
+            if w[-1] - w[0] <= 1e-9 * w[-1]:
+                want = float(w.mean()) * chisq_quantile(0.05, w.size)
+            else:
+                want = mixture_quantile(WeightedChiSquareMixture(tuple(w)), 0.05)
+            assert crit[i] == want, plan.subsets[i]
+
+
+def test_quantile_that_never_settles_raises_quadrature_failure(monkeypatch):
+    # a tail that never falls to alpha: the solver keeps doubling x and
+    # gives up after its iteration cap
+    monkeypatch.setattr(distributions, "_tail_and_density",
+                        lambda lam, zet, x: (np.ones(x.size), np.zeros(x.size)))
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        mixture_quantile(WeightedChiSquareMixture(weights=(1.0, 0.5)), 0.05)
+
+
+def test_mixture_quantile_rejects_alpha_at_the_tail_floor():
+    # mixture tails below 1e-12 read 0, so a quantile search there would
+    # land below the true quantile (51.77 at 1e-15, under 51.79 at 1e-13)
+    mix = WeightedChiSquareMixture(weights=(1.0, 0.5, 0.25))
+    for alpha in (1e-15, 1e-12):
+        with pytest.raises(ValueError, match="1e-12"):
+            mixture_quantile(mix, alpha)
+    with pytest.raises(ValueError, match="1e-12"):
+        SubsetPlan((0.1, 0.5, 0.9), WeightingMatrix.identity()).critical_values(1e-15)
+
+
+def test_equal_weight_critical_values_below_the_tail_floor():
+    # equal-weight rows take the chi-square quantile, which has no floor
+    taus = (0.1, 0.25, 0.5, 0.75, 0.9)
+    plan = SubsetPlan(taus, WeightingMatrix.inverse())
+    sizes = np.array([s.size for s in plan.subsets])
+    crit = plan.critical_values(1e-15)
+    want = np.array([chisq_quantile(1e-15, int(m)) for m in sizes])
+    assert np.max(np.abs(crit / want - 1.0)) <= 1e-12
+    power = analytic_power(taus, np.zeros(5), 1.0, WeightingMatrix.inverse(),
+                           alpha=1e-15)
+    assert max(abs(p / 1e-15 - 1.0) for p in power.values()) <= 1e-9
 
 
 def test_mixture_validation():
@@ -325,11 +426,11 @@ def test_upper_tails_rows_match_imhof_upper():
         got[batch] = upper_tails([lam[r] for r in batch], x[batch],
                                  [zet[r] for r in batch])
     assert got[:3].tolist() == [1.0, 1.0, 0.0]
-    # batch and single row may sum the nodes in another order; the rule's
-    # rounding level is about e^(0.355 N) eps = 2.6e-13 at N = 20
+    # each row's nodes are summed on their own, so a row's tail is the same
+    # bits in a batch as alone
     for r in range(rows):
         mix = WeightedChiSquareMixture(tuple(lam[r]), tuple(zet[r]))
-        assert got[r] == pytest.approx(imhof_upper(mix, x[r]), abs=3e-13)
+        assert got[r] == imhof_upper(mix, x[r])
 
 
 def test_disagreeing_rules_return_certified_value(monkeypatch):
