@@ -6,33 +6,44 @@ program. We solve the dual directly,
     maximize    a' y
     subject to  Z' a = (1 - tau) Z' 1,   0 <= a <= 1,
 
-with a simplex method (HiGHS), so the returned vector is a vertex of the
-dual polytope: at most p entries lie strictly inside (0, 1). The primal
-coefficients fall out of the equality-constraint multipliers and, in the
-generic case of exactly p interpolated observations, are polished to the
-exact-fit solution of that p-by-p system. Strong duality ties the two
-solutions together:
+and return a vertex of the dual polytope: at most p entries lie strictly
+inside (0, 1). In the generic case of exactly p interpolated observations
+the primal coefficients are the exact-fit solution of that p-by-p system.
+Strong duality ties the two solutions together:
 
     sum_i rho_tau(y_i - z_i' gamma) = a' y - (1 - tau) * sum_i y_i.
 
 A rank-score test needs many such programs on one design: every level,
 and the levels tau +/- h of its density estimate. They share no variable,
-so :func:`fit_levels` stacks them into one LP whose constraint matrix is
-block-diagonal in Z' (built directly in CSC form), solves it with one
-``linprog`` call, and splits the solution and multipliers back by block.
-The polish then runs once per call, over all generic blocks together:
-one batched p-by-p solve for the interpolation systems, one sign
-classification and one batched solve for the free duals. Each block's
-residuals are its own matrix-vector product, so its rounding does not
-depend on the batch it came in. Most of a small solve's cost is
-``linprog``'s per-call input handling, not the simplex itself, so one call
-per batch costs a fraction of one call per level. A vertex of the stacked
-polytope is a vertex of every block, and on continuous data each block's
-optimal vertex is unique, so the results equal the one-level solves. With
-tied responses a block may have several optimal vertices and the stacked
-solve may pick a different, equally optimal one. A call stacks at most
-_MAX_COLUMNS observations; longer batches are split into several calls,
-which bounds the solver's working memory. :func:`fit` is the one-level
+so :func:`fit_levels` solves them as one batch, in two stages.
+
+First, a Frisch-Newton interior point (Portnoy & Koenker 1997, Statistical
+Science 12:279; the rqfnb routine of quantreg) runs on every block at
+once: Mehrotra predictor-corrector steps, each direction one stacked
+p-by-p solve of Z'DZ, until a block's duality gap is small. An interior
+point is not a vertex, so each converged block hands its p smallest
+|residuals|, in row order, to the polish as its basis. The polish
+interpolates those rows, classifies the residual signs and solves for the
+p free duals. A block is certified when they lie strictly inside (0, 1):
+the result then satisfies the KKT conditions at a nondegenerate vertex,
+the kind of vertex the simplex stage below polishes. On continuous data
+each block's optimal vertex is unique, so a certified block is
+bit-identical to that stage's result. Each block's residuals are its own
+matrix-vector product, and each p-by-p solve its own LAPACK call, so the
+bits do not depend on the batch. The interior point starts no threads and
+needs no scipy.
+
+Second, every block the certificate rejects (tied responses that leave
+more than p zero residuals, a degenerate vertex, a block that did not
+converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex. These
+programs are stacked into one LP whose constraint matrix is
+block-diagonal in Z' (built directly in CSC form) and solved with one
+``linprog`` call per chunk of at most _MAX_COLUMNS observations, which
+bounds the solver's working memory. Its generic blocks (exactly p
+interior duals) go through the same polish. A vertex of the stacked
+polytope is a vertex of every block; with tied responses a block may have
+several optimal vertices and the stacked solve may pick a different,
+equally optimal one than a one-level solve. :func:`fit` is the one-level
 batch.
 
 HiGHS presolve is off. Each block is already in reduced form (box bounds
@@ -41,12 +52,12 @@ presolve finds nothing to remove and only adds work: over the 200 stacked
 solves of a 100-replication K = 5 Monte Carlo run, HiGHS's own time fell
 from 0.38 s to 0.15 s (2-core x86), with bit-identical fits.
 
-``scipy.optimize`` and ``scipy.sparse`` are imported at the first solve,
-not with the package: together they cost about 0.1 s, a third of a CLI
-call that solves no LP (``mqrank power``). The module-level ``linprog``
-is a thin function that imports scipy's ``linprog`` on its first call and
-forwards to it, so it stays one module attribute that callers can
-replace.
+``scipy.optimize`` and ``scipy.sparse`` are imported only when a block
+reaches the simplex stage: together they cost about 0.1 s, a third of a
+CLI call, and on continuous data no block does. The module-level
+``linprog`` is a thin function that imports scipy's ``linprog`` on its
+first call and forwards to it, so it stays one module attribute that
+callers can replace.
 """
 
 from __future__ import annotations
@@ -63,6 +74,17 @@ _BOUND_TOL = 1e-8
 # stacked observations (LP columns) per linprog call; HiGHS holds about
 # 0.8 kB per column, so one call stays near 1.6 MB
 _MAX_COLUMNS = 2048
+
+# stacked observations per interior-point batch; it holds about 140 B per
+# column, so one batch stays near 2.3 MB
+_MAX_IPM_COLUMNS = 16384
+
+# interior point: a block stops at a duality gap of _GAP_TOL (1 + max|y|),
+# or is left to the simplex after _MAX_ITERATIONS steps; each step goes
+# _STEP of the way to the boundary (rqfnb's factor)
+_GAP_TOL = 1e-8
+_MAX_ITERATIONS = 50
+_STEP = 0.99995
 
 # fixed solver settings; presolve cannot shrink a block-diagonal dual LP
 # (see the module docstring), so it is skipped
@@ -112,9 +134,9 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
     Raises
     ------
     Degenerate
-        If rank(Z) < p or the LP solve fails structurally.
+        If rank(Z) < p or the simplex fallback fails structurally.
     NotConverged
-        If the solver stops on its iteration cap.
+        If the simplex fallback stops on its iteration cap.
     """
     return fit_levels(Z, [y], [tau])[0]
 
@@ -122,19 +144,22 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
 def fit_levels(Z: np.ndarray, ys, taus) -> list:
     """Fit the taus[i]-th quantile regression of ys[i] on Z, for every i.
 
-    The dual programs are solved as one block-diagonal LP per chunk of at
-    most _MAX_COLUMNS stacked observations (see the module docstring).
-    Levels, n > p and the rank of Z are checked once, before any solve.
-    Returns one :class:`QuantileFit` per level, in the order given.
+    Each chunk of at most _MAX_IPM_COLUMNS stacked observations goes
+    through the batched interior point and its vertex certificate; the
+    blocks left uncertified go to stacked simplex solves of at most
+    _MAX_COLUMNS observations each (see the module docstring). Levels,
+    n > p and the rank of Z are checked once, before any solve. Returns
+    one :class:`QuantileFit` per level, in the order given.
 
     Raises
     ------
     ValueError
         If any level lies outside (0, 1) or ys and taus disagree in shape.
     Degenerate
-        If n <= p, rank(Z) < p or a stacked solve fails structurally.
+        If n <= p, rank(Z) < p or a stacked simplex solve fails
+        structurally.
     NotConverged
-        If a stacked solve stops on its iteration cap.
+        If a stacked simplex solve stops on its iteration cap.
     """
     Z = np.asarray(Z, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -152,12 +177,132 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
         raise Degenerate("design matrix is rank deficient")
 
     col_sum = Z.sum(axis=0)
-    per_call = max(1, _MAX_COLUMNS // n)
-    fits = []
-    for lo in range(0, len(taus), per_call):
-        chunk = slice(lo, lo + per_call)
-        fits += _solve_stacked(Z, ys[chunk], taus[chunk], col_sum)
-    return fits
+    fits = {}
+    for chunk in _chunks(range(len(taus)), _MAX_IPM_COLUMNS // n):
+        fits.update(_certified_fits(Z, ys, taus, chunk, col_sum))
+    rest = [b for b in range(len(taus)) if b not in fits]
+    for chunk in _chunks(rest, _MAX_COLUMNS // n):
+        fits.update(zip(chunk, _solve_stacked(
+            Z, ys[chunk], [taus[b] for b in chunk], col_sum)))
+    return [fits[b] for b in range(len(taus))]
+
+
+def _chunks(blocks, per_chunk: int) -> list:
+    """Consecutive runs of at most max(1, per_chunk) of the given blocks."""
+    per_chunk = max(1, per_chunk)
+    return [list(blocks[lo:lo + per_chunk])
+            for lo in range(0, len(blocks), per_chunk)]
+
+
+def _certified_fits(Z: np.ndarray, ys: np.ndarray, taus: list, chunk: list,
+                    col_sum: np.ndarray) -> dict:
+    """The fits of the blocks in `chunk` whose interior point the vertex
+    certificate accepts, by block index."""
+    p = Z.shape[1]
+    ys = ys[chunk]
+    tau_col = np.asarray([taus[b] for b in chunk])[:, None]
+    rhs = (1.0 - tau_col) * col_sum
+    blocks, gamma = _interior_point(Z, ys, tau_col, rhs)
+    # near the optimum, the p smallest |residuals| are the rows the
+    # optimal vertex interpolates
+    resid = np.abs(ys[blocks] - _apply(Z, gamma))
+    rows = np.sort(np.argpartition(resid, p - 1, axis=1)[:, :p], axis=1)
+    polished, a_hat, gamma_hat = _polish(Z, ys[blocks], rhs[blocks], rows)
+    generic = _interior(a_hat).sum(axis=1) == p
+    certified = blocks[polished[generic]]
+    levels = [chunk[b] for b in certified]
+    return dict(zip(levels, _fits(Z, ys[certified], [taus[b] for b in levels],
+                                  a_hat[generic], gamma_hat[generic])))
+
+
+def _interior_point(Z: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
+                    rhs: np.ndarray):
+    """Frisch-Newton interior point for every block's dual program.
+
+    Solves  min c'x  s.t.  Z'x = rhs,  x + s = 1,  x, s >= 0  with c = -y;
+    its dual is  max rhs'v - 1'w  s.t.  Zv + z - w = c,  z, w >= 0, and
+    gamma = -v. Starts from the feasible x = 1 - tau and the least-squares
+    v, then takes one Mehrotra predictor-corrector step per iteration for
+    every open block, each direction one stacked p-by-p solve of Z'DZ
+    (Portnoy & Koenker 1997; quantreg's rqfnb). A block is done when its
+    gap z'x + w's is at most _GAP_TOL (1 + max|y|). One still open after
+    _MAX_ITERATIONS steps, or whose gap is not finite, is dropped. Returns
+    the indices of the done blocks and their coefficients.
+    """
+    n = Z.shape[0]
+    x = np.repeat(1.0 - tau_col, n, axis=1)
+    s = 1.0 - x
+    v = -np.linalg.lstsq(Z, ys.T, rcond=None)[0].T
+    r = -ys - v @ Z.T
+    # rqfnb's start: z - w = r, neither of them zero
+    lift = _GAP_TOL * (np.abs(r) < _GAP_TOL)
+    z = np.maximum(r, 0.0) + lift
+    w = np.maximum(-r, 0.0) + lift
+    gap = np.sum(x * z + s * w, axis=1)
+    tol = _GAP_TOL * (1.0 + np.max(np.abs(ys), axis=1))
+    live = np.arange(len(ys))
+    blocks, gammas = [], []
+    # the step rules divide by zero where a direction is 0, which gives the
+    # unbounded step they want; a block whose state degenerates may also
+    # overflow, and is dropped once its gap is not finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITERATIONS):
+            if not live.size:
+                break
+            d = 1.0 / (z / x + w / s)
+            zw = z - w
+            rb = rhs - x @ Z + (d * zw) @ Z
+            ZDZ = Z.T @ (d[:, :, None] * Z)
+            # predictor: the affine-scaling direction
+            dv = solve_regular(ZDZ, rb)
+            dx = d * (dv @ Z.T - zw)
+            dz = -z * (dx / x + 1.0)
+            dw = -w * (1.0 - dx / s)
+            ap, ad = _primal_step(x, s, dx), _dual_step(z, w, dz, dw)
+            # corrector: centre on sigma * mu, sigma = (gap after the
+            # predictor / gap)^3, with the predictor's second-order terms
+            g = np.sum((x + ap * dx) * (z + ad * dz)
+                       + (s - ap * dx) * (w + ad * dw), axis=1)
+            mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
+            dr = d * (mu * (1.0 / s - 1.0 / x) + dx * dz / x + dx * dw / s)
+            dv = solve_regular(ZDZ, rb + dr @ Z)
+            dx2 = d * (dv @ Z.T - zw) - dr
+            dz = mu / x - z - (z * dx2 + dx * dz) / x
+            dw = mu / s - w + (w * dx2 + dx * dw) / s
+            dx = dx2
+            ap, ad = _primal_step(x, s, dx), _dual_step(z, w, dz, dw)
+            x = x + ap * dx
+            s = s - ap * dx
+            v = v + ad * dv
+            z = z + ad * dz
+            w = w + ad * dw
+
+            gap = np.sum(x * z + s * w, axis=1)
+            done = gap <= tol
+            blocks.append(live[done])
+            gammas.append(-v[done])
+            keep = ~done & np.isfinite(gap)
+            if not keep.all():
+                live, x, s, v, z, w, gap, rhs, tol = (
+                    t[keep] for t in (live, x, s, v, z, w, gap, rhs, tol))
+    if not blocks:
+        return np.zeros(0, dtype=int), np.zeros((0, Z.shape[1]))
+    return np.concatenate(blocks), np.concatenate(gammas)
+
+
+def _primal_step(x: np.ndarray, s: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """_STEP times the longest step along (dx, -dx) that keeps x and s
+    nonnegative, at most 1; one per block, as a column."""
+    bound = np.where(dx < 0.0, x, s) / np.abs(dx)
+    return np.minimum(_STEP * bound.min(axis=1, keepdims=True), 1.0)
+
+
+def _dual_step(z, w, dz, dw) -> np.ndarray:
+    """_STEP times the longest step along (dz, dw) that keeps z and w
+    nonnegative, at most 1; one per block, as a column."""
+    bound = np.minimum(np.where(dz < 0.0, -z / dz, np.inf),
+                       np.where(dw < 0.0, -w / dw, np.inf))
+    return np.minimum(_STEP * bound.min(axis=1, keepdims=True), 1.0)
 
 
 def linprog(*args, **kwargs):
@@ -189,8 +334,7 @@ def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
     """One linprog call for the independent dual programs of one chunk."""
     n, p = Z.shape
     blocks = len(taus)
-    tau_col = np.asarray(taus)[:, None]
-    rhs = (1.0 - tau_col) * col_sum
+    rhs = (1.0 - np.asarray(taus)[:, None]) * col_sum
     res = linprog(c=-ys.ravel(), A_eq=_block_diagonal(Z, blocks),
                   b_eq=rhs.ravel(), bounds=(0.0, 1.0),
                   method="highs-ds", options=_HIGHS_OPTIONS)
@@ -200,51 +344,67 @@ def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
         raise Degenerate(f"LP solve failed at taus={taus}: {res.message}")
     a_hat = np.clip(res.x.reshape(blocks, n), 0.0, 1.0)
     gamma_hat = -np.asarray(res.eqlin.marginals, dtype=float).reshape(blocks, p)
-    _polish(Z, ys, rhs, a_hat, gamma_hat)
-    objective = quantile_loss(ys - _apply(Z, gamma_hat), tau_col)
-    return [QuantileFit(tau=tau, gamma_hat=g, a_hat=a, objective=float(obj))
-            for tau, g, a, obj in zip(taus, gamma_hat, a_hat, objective)]
-
-
-def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray,
-            a_hat: np.ndarray, gamma_hat: np.ndarray) -> None:
-    """Polish, in place, every generic block of one stacked solve.
-
-    A block is generic when exactly p duals are interior. Its primal
-    solution then solves that p-by-p interpolation system exactly, and
-    when the residual signs leave exactly p free rows whose duals solve
-    the equality constraints inside [0, 1], the block's duals are replaced
-    by that exact solution. All generic blocks go through each step as one
-    batch; every other block keeps its clipped simplex vertex and
-    multipliers.
-    """
-    n, p = Z.shape
-    interior = (a_hat > _BOUND_TOL) & (a_hat < 1.0 - _BOUND_TOL)
+    # a block is generic when exactly p duals are interior: polish it
+    # through those rows; every other block keeps its clipped simplex
+    # vertex and multipliers
+    interior = _interior(a_hat)
     generic = np.flatnonzero(interior.sum(axis=1) == p)
     rows = np.nonzero(interior[generic])[1].reshape(-1, p)
-    gamma = solve_regular(Z[rows], np.take_along_axis(ys[generic], rows, axis=1))
-    finite = np.isfinite(gamma).all(axis=1)
-    generic, gamma = generic[finite], gamma[finite]
+    polished, a_exact, gamma_exact = _polish(Z, ys[generic], rhs[generic], rows)
+    a_hat[generic[polished]] = a_exact
+    gamma_hat[generic[polished]] = gamma_exact
+    return _fits(Z, ys, taus, a_hat, gamma_hat)
 
-    y = ys[generic]
+
+def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
+    """The exact vertex through each block's p basis rows, where it is an
+    optimal one.
+
+    The primal solution interpolates ys[b] at rows[b] (one batched p-by-p
+    solve). When the residual signs then leave exactly p free rows whose
+    duals solve the equality constraints inside [0, 1] (one more batched
+    solve), the duals are 1 above the fit, 0 below it and that solution on
+    the free rows: a point that satisfies the KKT conditions. Returns the
+    indices of those blocks, with their duals and coefficients.
+    """
+    n, p = Z.shape
+    blocks = np.arange(len(ys))
+    gamma = solve_regular(Z[rows], np.take_along_axis(ys, rows, axis=1))
+    finite = np.isfinite(gamma).all(axis=1)
+    blocks, gamma = blocks[finite], gamma[finite]
+
+    y = ys[blocks]
     resid = y - _apply(Z, gamma)
     sign_tol = 1e-9 * (1.0 + np.max(np.abs(y), axis=1, keepdims=True))
     at_one = resid > sign_tol
     free = ~(at_one | (resid < -sign_tol))
     square = free.sum(axis=1) == p
-    generic, gamma = generic[square], gamma[square]
+    blocks, gamma = blocks[square], gamma[square]
     at_one, free = at_one[square], free[square]
 
     free_rows = np.nonzero(free)[1].reshape(-1, p)
     # Z[at_one].sum(axis=0) per block, summed over rows in the same order
     pinned = (at_one[:, :, None] * Z).sum(axis=1)
-    a_free = solve_regular(np.swapaxes(Z[free_rows], 1, 2), rhs[generic] - pinned)
+    a_free = solve_regular(np.swapaxes(Z[free_rows], 1, 2), rhs[blocks] - pinned)
     inside = np.all((a_free > -1e-9) & (a_free < 1.0 + 1e-9), axis=1)
 
-    done = generic[inside]
-    a_hat[done] = at_one[inside]
-    a_hat[done[:, None], free_rows[inside]] = np.clip(a_free[inside], 0.0, 1.0)
-    gamma_hat[done] = gamma[inside]
+    a_hat = at_one[inside].astype(float)
+    np.put_along_axis(a_hat, free_rows[inside], np.clip(a_free[inside], 0.0, 1.0),
+                      axis=1)
+    return blocks[inside], a_hat, gamma[inside]
+
+
+def _interior(a_hat: np.ndarray) -> np.ndarray:
+    """Which duals lie strictly inside (0, 1), beyond _BOUND_TOL."""
+    return (a_hat > _BOUND_TOL) & (a_hat < 1.0 - _BOUND_TOL)
+
+
+def _fits(Z: np.ndarray, ys: np.ndarray, taus: list, a_hat: np.ndarray,
+          gamma_hat: np.ndarray) -> list:
+    """One QuantileFit per block, its objective the primal loss."""
+    objective = quantile_loss(ys - _apply(Z, gamma_hat), np.asarray(taus)[:, None])
+    return [QuantileFit(tau=tau, gamma_hat=g, a_hat=a, objective=float(obj))
+            for tau, g, a, obj in zip(taus, gamma_hat, a_hat, objective)]
 
 
 def _apply(Z: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -255,7 +415,12 @@ def _apply(Z: np.ndarray, gammas: np.ndarray) -> np.ndarray:
 
 def solve_regular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A[g] x = b[g] for a stack of square systems; rows of NaN where
-    the LU factorization of A[g] meets an exactly zero pivot."""
+    the LU factorization of A[g] meets an exactly zero pivot. Each system
+    is its own LAPACK call, so its bits do not depend on the stack."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:   # some A[g] is exactly singular
+        pass
     regular = np.linalg.slogdet(A)[0] != 0.0
     x = np.full(b.shape, np.nan)
     if regular.any():

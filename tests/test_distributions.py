@@ -93,6 +93,36 @@ def test_power_command_never_loads_scipy_optimize():
     assert _loaded_after(run, ["scipy.optimize"]) == "[]"
 
 
+def test_test_command_on_continuous_data_never_loads_scipy_optimize(tmp_path):
+    # the interior point's certificate accepts every program of a
+    # continuous response, so no block reaches the simplex fallback
+    rng = np.random.default_rng(41)
+    x, z = rng.standard_normal((2, 200))
+    y = 0.5 + 0.3 * x + 0.5 * z + rng.standard_normal(200)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack([y, x, z]), delimiter=",", header="y,x,z",
+               comments="")
+    run = ("from mqrank.cli import main\n"
+           f"assert main(['test', '--input', {str(path)!r}, '--response', 'y', "
+           "'--target', 'x', '--nuisance', 'z', '--taus', "
+           "'0.1,0.25,0.5,0.75,0.9', '--out', 'report.json']) == 0")
+    assert _loaded_after(f"import os\nos.chdir({str(tmp_path)!r})\n{run}",
+                         ["scipy.optimize", "scipy.sparse"]) == "[]"
+    assert (tmp_path / "report.json").exists()
+
+
+def test_serial_monte_carlo_never_loads_scipy_optimize():
+    run = ("from dataclasses import replace\n"
+           "from mqrank import simulation\n"
+           "from mqrank.cli import _resolve_scenario\n"
+           "simulation._worker_count = lambda replications: 1\n"
+           "sc = replace(_resolve_scenario('null_calibration'), replications=20)\n"
+           "report = simulation.run_monte_carlo(sc, methods=('closed', 'wald'), "
+           "on_error='raise')\n"
+           "assert report.replications_used == 20")
+    assert _loaded_after(run, ["scipy.optimize", "scipy.sparse"]) == "[]"
+
+
 def test_chisq_noncentral_zero_equals_central():
     for x in (0.5, 3.0, 10.0):
         for k in (1, 2, 5):

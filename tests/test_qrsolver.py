@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
@@ -7,6 +8,7 @@ from scipy.sparse import csc_array
 import mqrank.qrsolver as qrsolver
 from mqrank import Degenerate, NotConverged, fit, fit_levels, rank_score_function
 from mqrank.qrsolver import dual_objective, quantile_loss
+from mqrank.rankscore import bandwidth
 from helpers import intercept_only_duals, vertex_enumeration_fit
 
 
@@ -178,6 +180,12 @@ def count_linprog_calls(monkeypatch):
     return calls
 
 
+def simplex_only(monkeypatch):
+    """Give the interior point no step: no block converges, so every block
+    goes to the stacked simplex solve."""
+    monkeypatch.setattr(qrsolver, "_MAX_ITERATIONS", 0)
+
+
 def test_block_diagonal_matches_scipy_layout():
     # zeros in Z (dummy columns) are left out, as a dense Z' converts
     rng = np.random.default_rng(11)
@@ -199,11 +207,12 @@ def test_fit_levels_equals_per_level_fits_on_continuous_data():
 
 
 def test_fit_levels_column_cap_splits_batch(monkeypatch):
-    # 27 blocks of 400 observations: 5 blocks per call under the cap
+    # 27 blocks of 400 observations: 5 blocks per simplex call under the cap
     rng = np.random.default_rng(19)
     Z, y = random_instance(rng, 400, 2)
     taus = [float(t) for t in rng.uniform(0.05, 0.95, 27)]
     ys = [y + 0.1 * rng.standard_normal(400) for _ in taus]
+    simplex_only(monkeypatch)
     calls = count_linprog_calls(monkeypatch)
     fits = fit_levels(Z, ys, taus)
     per_call = qrsolver._MAX_COLUMNS // 400
@@ -234,6 +243,8 @@ def test_fit_levels_on_tied_responses_is_an_optimal_vertex():
 
 
 def test_fit_levels_bad_tau_raises_before_any_solve(monkeypatch):
+    # every block that reached a solve would end in a linprog call
+    simplex_only(monkeypatch)
     calls = count_linprog_calls(monkeypatch)
     rng = np.random.default_rng(2)
     Z, y = random_instance(rng, 30, 2)
@@ -255,6 +266,9 @@ def test_fit_levels_rank_deficient_design_raises():
 @pytest.mark.parametrize("status, error", [(1, NotConverged), (2, Degenerate),
                                            (4, Degenerate)])
 def test_failed_stacked_solve_names_its_levels(monkeypatch, status, error):
+    # blocks reach the stacked simplex when the certificate rejects them:
+    # tied responses on a dummy design leave more than p zero residuals.
+    # They also reach it when the interior point takes no step.
     class Failed:
         success = False
         message = "solver says no"
@@ -263,13 +277,19 @@ def test_failed_stacked_solve_names_its_levels(monkeypatch, status, error):
     monkeypatch.setattr(qrsolver, "linprog", lambda *a, **k: Failed())
     rng = np.random.default_rng(3)
     Z, y = random_instance(rng, 25, 2)
+    dummy = np.column_stack([np.ones(25), rng.integers(0, 2, 25)])
+    tied = rng.integers(0, 3, 25).astype(float)
+    with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
+        fit_levels(dummy, [tied, tied, tied], [0.25, 0.5, 0.75])
+    simplex_only(monkeypatch)
     with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
         fit_levels(Z, [y, y, y], [0.25, 0.5, 0.75])
 
 
 @pytest.mark.parametrize("n", [30, 100, 400, 2500])
 def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
-    # the stacked solves run without presolve; on continuous data each
+    # the certified interior point and the stacked simplex solves (run
+    # without presolve) both end at a vertex; on continuous data each
     # block's optimal vertex is unique, so an independent one-level solve
     # with HiGHS's default options (presolve on) must land on it too
     rng = np.random.default_rng(n)
@@ -278,18 +298,23 @@ def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
     ys = [Z @ rng.standard_normal(3) + rng.standard_t(5, n) for _ in taus]
     calls = count_linprog_calls(monkeypatch)
     fits = fit_levels(Z, ys, taus)
+    # every block is certified
+    assert calls == []
+    simplex_only(monkeypatch)
+    simplex_fits = fit_levels(Z, ys, taus)
     # above the column cap every level is its own call
     assert len(calls) == -(-len(taus) // max(1, qrsolver._MAX_COLUMNS // n))
     tol = qrsolver._BOUND_TOL
-    for qfit, y, tau in zip(fits, ys, taus):
+    for qfit, sfit, y, tau in zip(fits, simplex_fits, ys, taus):
         ref = linprog(c=-y, A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
                       bounds=(0.0, 1.0), method="highs-ds")
         assert ref.status == 0
-        for a in (qfit.a_hat, ref.x):
+        for a in (qfit.a_hat, sfit.a_hat, ref.x):
             assert np.sum((a > tol) & (a < 1.0 - tol)) == 3
-        assert np.array_equal(qfit.a_hat > 1.0 - tol, ref.x > 1.0 - tol)
-        assert np.array_equal(qfit.a_hat > tol, ref.x > tol)
-        assert np.max(np.abs(qfit.gamma_hat + ref.eqlin.marginals)) <= 1e-9
+        for got in (qfit, sfit):
+            assert np.array_equal(got.a_hat > 1.0 - tol, ref.x > 1.0 - tol)
+            assert np.array_equal(got.a_hat > tol, ref.x > tol)
+            assert np.max(np.abs(got.gamma_hat + ref.eqlin.marginals)) <= 1e-9
 
 
 def one_level_vertex(Z, y, tau):
@@ -334,7 +359,9 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
     # simplex vertex reaches neither. Every block but the generic ones
     # reports its vertex and multipliers, so that the stacked and the
     # one-level solve polish the same input: with ties, a stacked solve may
-    # pick another, equally optimal vertex.
+    # pick another, equally optimal vertex. The interior point takes no
+    # step, so every block, in the batch and alone, reaches the simplex.
+    simplex_only(monkeypatch)
     n, p = 12, 2
     rng = np.random.default_rng(1)
     z = rng.integers(0, 4, n).astype(float)
@@ -380,3 +407,85 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
         if kind != "generic":
             assert np.array_equal(qfit.a_hat, np.clip(x, 0.0, 1.0))
         assert_same_fit(qfit, fit(Z, y, tau))
+
+
+def test_fit_levels_without_interior_point_steps_is_the_simplex_path(monkeypatch):
+    # no block converges, so every block goes to the stacked simplex in the
+    # chunks the column cap makes: the same solves, ties included, as
+    # calling _solve_stacked chunk by chunk
+    rng = np.random.default_rng(29)
+    n = 150
+    Z, _ = random_instance(rng, n, 2)
+    taus = [float(t) for t in rng.uniform(0.05, 0.95, 30)]
+    ys = np.array([rng.integers(0, 3, n).astype(float) if b % 2
+                   else Z @ rng.standard_normal(2) + rng.standard_normal(n)
+                   for b in range(len(taus))])
+    per_call = qrsolver._MAX_COLUMNS // n
+    want = []
+    for lo in range(0, len(taus), per_call):
+        want += qrsolver._solve_stacked(Z, ys[lo:lo + per_call],
+                                        taus[lo:lo + per_call], Z.sum(axis=0))
+    simplex_only(monkeypatch)
+    for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
+        assert_same_fit(got, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 300),
+       p=st.integers(1, 3),
+       taus=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=8))
+@example(seed=0, n=20, p=1, taus=[0.5, 0.25, 0.3])
+def test_fit_levels_equals_the_simplex_path_bit_for_bit(seed, n, p, taus):
+    # on continuous data each block's optimal vertex is unique: a block the
+    # certificate accepts gets the bits that the stacked simplex and its
+    # polish give, and any other block goes to that solve. With an
+    # intercept only and (1 - tau) n an integer, the optimal vertex has no
+    # interior dual and the simplex's multiplier is one of many optimal
+    # coefficients: the certificate must leave such a block to the simplex.
+    rng = np.random.default_rng(seed)
+    Z, _ = random_instance(rng, n, p)
+    ys = np.array([Z @ rng.standard_normal(p) + rng.standard_normal(n)
+                   for _ in taus])
+    want = qrsolver._solve_stacked(Z, ys, taus, Z.sum(axis=0))
+    for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
+        assert_same_fit(got, ref)
+
+
+def hard_instance(kind):
+    """Continuous data on an input the interior point finds hard, with its
+    levels."""
+    rng = np.random.default_rng(31)
+    taus = [0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98]
+    n = 200
+    if kind == "high leverage":
+        Z, _ = random_instance(rng, n, 3)
+        Z[0, 1:] = [40.0, -25.0]
+    elif kind == "near-collinear":
+        z = rng.standard_normal(n)
+        Z = np.column_stack([np.ones(n), z, z + 1e-6 * rng.standard_normal(n)])
+    elif kind == "large n":
+        n = 10_000
+        Z, _ = random_instance(rng, n, 3)
+        taus = [0.1, 0.5, 0.9]
+    else:  # extreme levels whose density bandwidths are clipped
+        n = 20
+        Z, _ = random_instance(rng, n, 2)
+        bands = [(tau, *bandwidth(n, tau)) for tau in (0.02, 0.05, 0.95, 0.98)]
+        assert all(clipped for _, _, clipped in bands)
+        taus = [t for tau, h, _ in bands for t in (tau, tau - h, tau + h)]
+    p = Z.shape[1]
+    ys = np.array([Z @ rng.standard_normal(p) + rng.standard_t(5, n) for _ in taus])
+    return Z, ys, taus
+
+
+@pytest.mark.parametrize("kind", ["high leverage", "near-collinear", "large n",
+                                  "clipped bandwidth"])
+def test_fit_levels_equals_the_simplex_path_on_hard_inputs(monkeypatch, kind):
+    # each block is either certified, and then bit-identical to the
+    # stacked simplex, or falls back to it; the certificate takes some
+    Z, ys, taus = hard_instance(kind)
+    want = qrsolver._solve_stacked(Z, ys, taus, Z.sum(axis=0))
+    calls = count_linprog_calls(monkeypatch)
+    for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
+        assert_same_fit(got, ref)
+    assert sum(cols for _, cols in calls) < len(taus) * Z.shape[0]

@@ -195,9 +195,11 @@ def test_score_intercept_only_matches_direct_formula():
 
 @pytest.mark.parametrize("n, taus", [
     (100, (0.1, 0.5, 0.9)),
-    # 27 programs of 400 observations: the column cap splits the batch
+    # 27 programs of 400 observations: one interior-point batch, which the
+    # simplex's column cap would split
     (400, tuple(np.round(np.arange(1, 10) / 10, 1))),
-    # every program is over the column cap: one linprog call per level
+    # every program is over both column caps: one interior-point batch per
+    # level
     (10_000, (0.25, 0.5, 0.75)),
 ])
 def test_score_state_fits_equal_per_level_solves(n, taus):
