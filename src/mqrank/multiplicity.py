@@ -41,9 +41,10 @@ def closure_adjust(local_p, member: np.ndarray) -> np.ndarray:
     """Adjusted p-value of hypothesis j: max local p over the subsets
     containing j, in the row order of the membership matrix ``member``
     (:class:`~mqrank.rankscore.SubsetPlan`). On boolean accept flags it
-    tells whether any subset containing j was accepted."""
+    tells whether any subset containing j was accepted. A stack (..., S)
+    of local values gives one row of K per row of S."""
     local_p = np.asarray(local_p)
-    return np.where(member, local_p[:, None], False).max(axis=0)
+    return np.where(member, local_p[..., :, None], False).max(axis=-2)
 
 
 def closed_test(state: RankScoreState, weighting: WeightingMatrix,

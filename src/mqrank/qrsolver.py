@@ -13,9 +13,12 @@ Strong duality ties the two solutions together:
 
     sum_i rho_tau(y_i - z_i' gamma) = a' y - (1 - tau) * sum_i y_i.
 
-A rank-score test needs many such programs on one design: every level,
-and the levels tau +/- h of its density estimate. They share no variable,
-so :func:`fit_levels` solves them as one batch, in two stages.
+A rank-score test needs many such programs: every level, and the levels
+tau +/- h of its density estimate, and a Monte Carlo run needs them for
+every replication's dataset. They share no variable, so :func:`fit_levels`
+solves them as one batch, in two stages. Each program (a block) has its
+own design: Z is one (n, p) design for every block, kept as a broadcast
+view of itself, or a (B, n, p) stack with one design per block.
 
 First, a Frisch-Newton interior point (Portnoy & Koenker 1997, Statistical
 Science 12:279; the rqfnb routine of quantreg) runs on every block at
@@ -28,19 +31,22 @@ p free duals. A block is certified when they lie strictly inside (0, 1):
 the result then satisfies the KKT conditions at a nondegenerate vertex,
 the kind of vertex the simplex stage below polishes. On continuous data
 each block's optimal vertex is unique, so a certified block is
-bit-identical to that stage's result. Each block's residuals are its own
-matrix-vector product, and each p-by-p solve its own LAPACK call, so the
-bits do not depend on the batch. The interior point starts no threads and
-needs no scipy.
+bit-identical to that stage's result. Every product with a design is the
+block's own matrix-vector product and each p-by-p solve its own LAPACK
+call, so a block's bits, and whether it is certified, do not depend on the
+other blocks of its batch: a stack gives each block the bits of a call on
+its design alone. The interior point starts no threads and needs no scipy.
 
 Second, every block the certificate rejects (tied responses that leave
 more than p zero residuals, a degenerate vertex, a block that did not
-converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex. These
-programs are stacked into one LP whose constraint matrix is
-block-diagonal in Z' (built directly in CSC form) and solved with one
-``linprog`` call per chunk of at most _MAX_COLUMNS observations, which
-bounds the solver's working memory. Its generic blocks (exactly p
-interior duals) go through the same polish. A vertex of the stacked
+converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex. The
+rejected blocks of each run of consecutive blocks with the same design
+are stacked into one LP whose constraint matrix is block-diagonal in Z'
+(built directly in CSC form) and solved with one ``linprog`` call per
+chunk of at most _MAX_COLUMNS observations, which bounds the solver's
+working memory; so a run gets the simplex solves of a call on its design
+alone. The generic blocks of a solve (exactly p interior duals) go
+through the same polish. A vertex of the stacked
 polytope is a vertex of every block; with tied responses a block may have
 several optimal vertices and the stacked solve may pick a different,
 equally optimal one than a one-level solve. :func:`fit` is the one-level
@@ -75,8 +81,9 @@ _BOUND_TOL = 1e-8
 # 0.8 kB per column, so one call stays near 1.6 MB
 _MAX_COLUMNS = 2048
 
-# stacked observations per interior-point batch; it holds about 140 B per
-# column, so one batch stays near 2.3 MB
+# stacked observations per interior-point batch; a batch peaks at about
+# 250 B per column for p = 2 and 340 B for p = 3 (state, directions and the
+# flattened z_i z_i' products of its designs), so near 4-6 MB
 _MAX_IPM_COLUMNS = 16384
 
 # interior point: a block stops at a duality gap of _GAP_TOL (1 + max|y|),
@@ -142,49 +149,71 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
 
 
 def fit_levels(Z: np.ndarray, ys, taus) -> list:
-    """Fit the taus[i]-th quantile regression of ys[i] on Z, for every i.
+    """Fit the taus[b]-th quantile regression of ys[b] on its design, for
+    every block b.
 
-    Each chunk of at most _MAX_IPM_COLUMNS stacked observations goes
-    through the batched interior point and its vertex certificate; the
-    blocks left uncertified go to stacked simplex solves of at most
-    _MAX_COLUMNS observations each (see the module docstring). Levels,
-    n > p and the rank of Z are checked once, before any solve. Returns
-    one :class:`QuantileFit` per level, in the order given.
+    Z is one (n, p) design for every block, or a (B, n, p) stack with one
+    design per block; one design stays a broadcast view of itself. Each
+    chunk of at most _MAX_IPM_COLUMNS stacked observations goes through
+    the batched interior point and its vertex certificate. The blocks left
+    uncertified go to stacked simplex solves of at most _MAX_COLUMNS
+    observations each, one run of consecutive blocks with the same design
+    at a time (see the module docstring). Levels, shapes, n > p and the
+    rank of each design are checked once, before any solve. Returns one
+    :class:`QuantileFit` per block, in the order given.
 
     Raises
     ------
     ValueError
-        If any level lies outside (0, 1) or ys and taus disagree in shape.
+        If any level lies outside (0, 1), or Z, ys and taus disagree in
+        shape.
     Degenerate
-        If n <= p, rank(Z) < p or a stacked simplex solve fails
-        structurally.
+        If n <= p, a design is rank deficient or a stacked simplex solve
+        fails structurally.
     NotConverged
         If a stacked simplex solve stops on its iteration cap.
     """
     Z = np.asarray(Z, dtype=float)
     ys = np.asarray(ys, dtype=float)
     taus = [float(t) for t in taus]
-    n, p = Z.shape
     for tau in taus:
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {tau}")
-    if ys.shape != (len(taus), n):
+    if Z.ndim == 2:
+        designs, run = Z[None], np.zeros(len(taus), dtype=int)
+    elif Z.ndim == 3 and len(Z) == len(taus):
+        # consecutive blocks with the same design are one run
+        starts = np.ones(len(Z), dtype=bool)
+        starts[1:] = np.any(Z[1:] != Z[:-1], axis=(1, 2))
+        designs, run = Z[starts], np.cumsum(starts) - 1
+    else:
+        raise ValueError(f"need one (n, p) design or one per level, got "
+                         f"shape {Z.shape} for {len(taus)} levels")
+    stack = np.broadcast_to(Z, (len(taus),) + Z.shape[-2:])
+    blocks, n, p = stack.shape
+    if ys.shape != (blocks, n):
         raise ValueError(f"need one length-{n} response per level, got "
                          f"shape {ys.shape} for {len(taus)} levels")
     if n <= p:
         raise Degenerate(f"need n > p, got n={n}, p={p}")
-    if np.linalg.matrix_rank(Z) < p:
+    if np.any(np.linalg.matrix_rank(designs) < p):
         raise Degenerate("design matrix is rank deficient")
 
-    col_sum = Z.sum(axis=0)
+    col_sum = designs.sum(axis=1)
+    rhs = (1.0 - np.asarray(taus)[:, None]) * col_sum[run]
     fits = {}
-    for chunk in _chunks(range(len(taus)), _MAX_IPM_COLUMNS // n):
-        fits.update(_certified_fits(Z, ys, taus, chunk, col_sum))
-    rest = [b for b in range(len(taus)) if b not in fits]
-    for chunk in _chunks(rest, _MAX_COLUMNS // n):
-        fits.update(zip(chunk, _solve_stacked(
-            Z, ys[chunk], [taus[b] for b in chunk], col_sum)))
-    return [fits[b] for b in range(len(taus))]
+    # near-equal chunks of at most _MAX_IPM_COLUMNS observations each
+    chunks = -(-blocks // max(1, _MAX_IPM_COLUMNS // n))
+    cuts = [blocks * i // chunks for i in range(chunks + 1)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        fits.update((lo + b, qfit) for b, qfit in _certified_fits(
+            stack[lo:hi], ys[lo:hi], taus[lo:hi], rhs[lo:hi]).items())
+    rest = [b for b in range(blocks) if b not in fits]
+    for g in dict.fromkeys(run[rest].tolist()):
+        for chunk in _chunks([b for b in rest if run[b] == g], _MAX_COLUMNS // n):
+            fits.update(zip(chunk, _solve_stacked(
+                designs[g], ys[chunk], [taus[b] for b in chunk], col_sum[g])))
+    return [fits[b] for b in range(blocks)]
 
 
 def _chunks(blocks, per_chunk: int) -> list:
@@ -194,30 +223,38 @@ def _chunks(blocks, per_chunk: int) -> list:
             for lo in range(0, len(blocks), per_chunk)]
 
 
-def _certified_fits(Z: np.ndarray, ys: np.ndarray, taus: list, chunk: list,
-                    col_sum: np.ndarray) -> dict:
-    """The fits of the blocks in `chunk` whose interior point the vertex
-    certificate accepts, by block index."""
-    p = Z.shape[1]
-    ys = ys[chunk]
-    tau_col = np.asarray([taus[b] for b in chunk])[:, None]
-    rhs = (1.0 - tau_col) * col_sum
-    blocks, gamma = _interior_point(Z, ys, tau_col, rhs)
+def _select(stack: np.ndarray, blocks) -> np.ndarray:
+    """The given blocks (indices or a mask) of a stack of per-block
+    arrays: a view where the stack broadcasts one array, else a copy."""
+    if stack.strides[0] == 0 and len(stack):
+        count = np.arange(len(stack))[blocks].size
+        return np.broadcast_to(stack[0], (count,) + stack.shape[1:])
+    return stack[blocks]
+
+
+def _certified_fits(Zs: np.ndarray, ys: np.ndarray, taus: list,
+                    rhs: np.ndarray) -> dict:
+    """The fits of the blocks whose interior point the vertex certificate
+    accepts, by block index."""
+    p = Zs.shape[2]
+    blocks, gamma = _interior_point(Zs, ys, np.asarray(taus)[:, None], rhs)
     # near the optimum, the p smallest |residuals| are the rows the
     # optimal vertex interpolates
-    resid = np.abs(ys[blocks] - _apply(Z, gamma))
+    Zb = _select(Zs, blocks)
+    resid = np.abs(ys[blocks] - _apply(Zb, gamma))
     rows = np.sort(np.argpartition(resid, p - 1, axis=1)[:, :p], axis=1)
-    polished, a_hat, gamma_hat = _polish(Z, ys[blocks], rhs[blocks], rows)
+    polished, a_hat, gamma_hat = _polish(Zb, ys[blocks], rhs[blocks], rows)
     generic = _interior(a_hat).sum(axis=1) == p
     certified = blocks[polished[generic]]
-    levels = [chunk[b] for b in certified]
-    return dict(zip(levels, _fits(Z, ys[certified], [taus[b] for b in levels],
-                                  a_hat[generic], gamma_hat[generic])))
+    return dict(zip(certified.tolist(), _fits(
+        _select(Zs, certified), ys[certified], [taus[b] for b in certified],
+        a_hat[generic], gamma_hat[generic])))
 
 
-def _interior_point(Z: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
+def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
                     rhs: np.ndarray):
-    """Frisch-Newton interior point for every block's dual program.
+    """Frisch-Newton interior point for every block's dual program, block b
+    on design Zs[b].
 
     Solves  min c'x  s.t.  Z'x = rhs,  x + s = 1,  x, s >= 0  with c = -y;
     its dual is  max rhs'v - 1'w  s.t.  Zv + z - w = c,  z, w >= 0, and
@@ -229,80 +266,85 @@ def _interior_point(Z: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
     _MAX_ITERATIONS steps, or whose gap is not finite, is dropped. Returns
     the indices of the done blocks and their coefficients.
     """
-    n = Z.shape[0]
+    n, p = Zs.shape[1:]
+    # row i of a design gives row i of its products, z_i z_i' flattened, so
+    # that each Z'DZ is one matrix-vector product; one design, one array
+    designs = Zs[:1] if Zs.strides[0] == 0 else Zs
+    products = np.broadcast_to(
+        (designs[..., :, None] * designs[..., None, :]).reshape(-1, n, p * p),
+        (len(Zs), n, p * p))
     x = np.repeat(1.0 - tau_col, n, axis=1)
     s = 1.0 - x
-    v = -np.linalg.lstsq(Z, ys.T, rcond=None)[0].T
-    r = -ys - v @ Z.T
+    v = -solve_regular(np.swapaxes(Zs, 1, 2) @ Zs, _times(ys, Zs))
+    r = -ys - _apply(Zs, v)
     # rqfnb's start: z - w = r, neither of them zero
     lift = _GAP_TOL * (np.abs(r) < _GAP_TOL)
     z = np.maximum(r, 0.0) + lift
     w = np.maximum(-r, 0.0) + lift
-    gap = np.sum(x * z + s * w, axis=1)
+    gap = _dots(x, z) + _dots(s, w)
     tol = _GAP_TOL * (1.0 + np.max(np.abs(ys), axis=1))
     live = np.arange(len(ys))
     blocks, gammas = [], []
-    # the step rules divide by zero where a direction is 0, which gives the
-    # unbounded step they want; a block whose state degenerates may also
-    # overflow, and is dropped once its gap is not finite
+    # a state that reaches 0 makes its ratios infinite and its block's step
+    # 0; a block whose state degenerates may also overflow, and is dropped
+    # once its gap is not finite
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_MAX_ITERATIONS):
             if not live.size:
                 break
-            d = 1.0 / (z / x + w / s)
+            xi, si = 1.0 / x, 1.0 / s
+            d = 1.0 / (z * xi + w * si)
             zw = z - w
-            rb = rhs - x @ Z + (d * zw) @ Z
-            ZDZ = Z.T @ (d[:, :, None] * Z)
-            # predictor: the affine-scaling direction
+            rb = rhs - _times(x - d * zw, Zs)
+            ZDZ = _times(d, products).reshape(-1, p, p)
+            # predictor: the affine-scaling direction, whose dz = -z (1 + dx/x)
+            # and dw = -w (1 - dx/s) give both step lengths from dx alone
             dv = solve_regular(ZDZ, rb)
-            dx = d * (dv @ Z.T - zw)
-            dz = -z * (dx / x + 1.0)
-            dw = -w * (1.0 - dx / s)
-            ap, ad = _primal_step(x, s, dx), _dual_step(z, w, dz, dw)
+            dx = d * (_apply(Zs, dv) - zw)
+            dxx, dxs = dx * xi, dx * si
+            ap = _step(np.maximum(-dxx, dxs))
+            ad = _step(1.0 + np.maximum(dxx, -dxs))
+            dz = -z * (1.0 + dxx)
+            dw = -w * (1.0 - dxs)
             # corrector: centre on sigma * mu, sigma = (gap after the
             # predictor / gap)^3, with the predictor's second-order terms
-            g = np.sum((x + ap * dx) * (z + ad * dz)
-                       + (s - ap * dx) * (w + ad * dw), axis=1)
+            apdx = ap * dx
+            g = _dots(x + apdx, z + ad * dz) + _dots(s - apdx, w + ad * dw)
             mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
-            dr = d * (mu * (1.0 / s - 1.0 / x) + dx * dz / x + dx * dw / s)
-            dv = solve_regular(ZDZ, rb + dr @ Z)
-            dx2 = d * (dv @ Z.T - zw) - dr
-            dz = mu / x - z - (z * dx2 + dx * dz) / x
-            dw = mu / s - w + (w * dx2 + dx * dw) / s
+            dr = d * (mu * (si - xi) + dx * (dz * xi + dw * si))
+            dv = solve_regular(ZDZ, rb + _times(dr, Zs))
+            dx2 = d * (_apply(Zs, dv) - zw) - dr
+            dz = mu * xi - z - (z * dx2 + dx * dz) * xi
+            dw = mu * si - w + (w * dx2 + dx * dw) * si
             dx = dx2
-            ap, ad = _primal_step(x, s, dx), _dual_step(z, w, dz, dw)
-            x = x + ap * dx
-            s = s - ap * dx
+            ap = _step(np.maximum(-dx * xi, dx * si))
+            ad = _step(-np.minimum(dz / z, dw / w))
+            apdx = ap * dx
+            x = x + apdx
+            s = s - apdx
             v = v + ad * dv
             z = z + ad * dz
             w = w + ad * dw
 
-            gap = np.sum(x * z + s * w, axis=1)
+            gap = _dots(x, z) + _dots(s, w)
             done = gap <= tol
             blocks.append(live[done])
             gammas.append(-v[done])
             keep = ~done & np.isfinite(gap)
             if not keep.all():
+                Zs, products = _select(Zs, keep), _select(products, keep)
                 live, x, s, v, z, w, gap, rhs, tol = (
                     t[keep] for t in (live, x, s, v, z, w, gap, rhs, tol))
     if not blocks:
-        return np.zeros(0, dtype=int), np.zeros((0, Z.shape[1]))
+        return np.zeros(0, dtype=int), np.zeros((0, p))
     return np.concatenate(blocks), np.concatenate(gammas)
 
 
-def _primal_step(x: np.ndarray, s: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """_STEP times the longest step along (dx, -dx) that keeps x and s
-    nonnegative, at most 1; one per block, as a column."""
-    bound = np.where(dx < 0.0, x, s) / np.abs(dx)
-    return np.minimum(_STEP * bound.min(axis=1, keepdims=True), 1.0)
-
-
-def _dual_step(z, w, dz, dw) -> np.ndarray:
-    """_STEP times the longest step along (dz, dw) that keeps z and w
-    nonnegative, at most 1; one per block, as a column."""
-    bound = np.minimum(np.where(dz < 0.0, -z / dz, np.inf),
-                       np.where(dw < 0.0, -w / dw, np.inf))
-    return np.minimum(_STEP * bound.min(axis=1, keepdims=True), 1.0)
+def _step(shrink: np.ndarray) -> np.ndarray:
+    """_STEP of the longest step, at most 1, that keeps every state u >= 0
+    along its direction du, from each block's -du/u; one per block, as a
+    column."""
+    return (_STEP / np.maximum(shrink.max(axis=1), _STEP))[:, None]
 
 
 def linprog(*args, **kwargs):
@@ -350,15 +392,17 @@ def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
     interior = _interior(a_hat)
     generic = np.flatnonzero(interior.sum(axis=1) == p)
     rows = np.nonzero(interior[generic])[1].reshape(-1, p)
-    polished, a_exact, gamma_exact = _polish(Z, ys[generic], rhs[generic], rows)
+    stack = np.broadcast_to(Z, (blocks, n, p))
+    polished, a_exact, gamma_exact = _polish(stack[:generic.size], ys[generic],
+                                             rhs[generic], rows)
     a_hat[generic[polished]] = a_exact
     gamma_hat[generic[polished]] = gamma_exact
-    return _fits(Z, ys, taus, a_hat, gamma_hat)
+    return _fits(stack, ys, taus, a_hat, gamma_hat)
 
 
-def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
+def _polish(Zs: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
     """The exact vertex through each block's p basis rows, where it is an
-    optimal one.
+    optimal one; block b on design Zs[b].
 
     The primal solution interpolates ys[b] at rows[b] (one batched p-by-p
     solve). When the residual signs then leave exactly p free rows whose
@@ -367,25 +411,27 @@ def _polish(Z: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
     the free rows: a point that satisfies the KKT conditions. Returns the
     indices of those blocks, with their duals and coefficients.
     """
-    n, p = Z.shape
+    p = Zs.shape[2]
     blocks = np.arange(len(ys))
-    gamma = solve_regular(Z[rows], np.take_along_axis(ys, rows, axis=1))
+    gamma = solve_regular(_rows_of(Zs, rows), np.take_along_axis(ys, rows, axis=1))
     finite = np.isfinite(gamma).all(axis=1)
     blocks, gamma = blocks[finite], gamma[finite]
 
     y = ys[blocks]
-    resid = y - _apply(Z, gamma)
+    Zb = _select(Zs, blocks)
+    resid = y - _apply(Zb, gamma)
     sign_tol = 1e-9 * (1.0 + np.max(np.abs(y), axis=1, keepdims=True))
     at_one = resid > sign_tol
     free = ~(at_one | (resid < -sign_tol))
     square = free.sum(axis=1) == p
     blocks, gamma = blocks[square], gamma[square]
-    at_one, free = at_one[square], free[square]
+    at_one, free, Zb = at_one[square], free[square], _select(Zb, square)
 
     free_rows = np.nonzero(free)[1].reshape(-1, p)
     # Z[at_one].sum(axis=0) per block, summed over rows in the same order
-    pinned = (at_one[:, :, None] * Z).sum(axis=1)
-    a_free = solve_regular(np.swapaxes(Z[free_rows], 1, 2), rhs[blocks] - pinned)
+    pinned = (at_one[:, :, None] * Zb).sum(axis=1)
+    a_free = solve_regular(np.swapaxes(_rows_of(Zb, free_rows), 1, 2),
+                           rhs[blocks] - pinned)
     inside = np.all((a_free > -1e-9) & (a_free < 1.0 + 1e-9), axis=1)
 
     a_hat = at_one[inside].astype(float)
@@ -399,32 +445,49 @@ def _interior(a_hat: np.ndarray) -> np.ndarray:
     return (a_hat > _BOUND_TOL) & (a_hat < 1.0 - _BOUND_TOL)
 
 
-def _fits(Z: np.ndarray, ys: np.ndarray, taus: list, a_hat: np.ndarray,
+def _fits(Zs: np.ndarray, ys: np.ndarray, taus: list, a_hat: np.ndarray,
           gamma_hat: np.ndarray) -> list:
     """One QuantileFit per block, its objective the primal loss."""
-    objective = quantile_loss(ys - _apply(Z, gamma_hat), np.asarray(taus)[:, None])
+    objective = quantile_loss(ys - _apply(Zs, gamma_hat), np.asarray(taus)[:, None])
     return [QuantileFit(tau=tau, gamma_hat=g, a_hat=a, objective=float(obj))
             for tau, g, a, obj in zip(taus, gamma_hat, a_hat, objective)]
 
 
-def _apply(Z: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Z @ gammas[b] for every row b, one matrix-vector product each, so a
-    block's rounding does not depend on the other blocks in its batch."""
-    return (Z @ gammas[:, :, None])[:, :, 0]
+def _rows_of(Zs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zs[b][rows[b]] for every block b: a (B, m, p) stack."""
+    return np.take_along_axis(Zs, rows[:, :, None], axis=1)
+
+
+def _apply(Zs: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Zs[b] @ gammas[b] for every block b, one matrix-vector product each,
+    so a block's rounding does not depend on the other blocks in its
+    batch."""
+    return (Zs @ gammas[:, :, None])[:, :, 0]
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[..., i] @ v[..., i] over the last axis, one dot product each."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _times(u: np.ndarray, Zs: np.ndarray) -> np.ndarray:
+    """u[b] @ Zs[b] for every block b, one product each."""
+    return (u[:, None, :] @ Zs)[:, 0, :]
 
 
 def solve_regular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A[g] x = b[g] for a stack of square systems; rows of NaN where
-    the LU factorization of A[g] meets an exactly zero pivot. Each system
-    is its own LAPACK call, so its bits do not depend on the stack."""
+    """Solve A[g] x = b[g] for a stack (..., m, m) of square systems; rows
+    of NaN where the LU factorization of A[g] meets an exactly zero pivot.
+    Each system is its own LAPACK call, so its bits do not depend on the
+    stack."""
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:   # some A[g] is exactly singular
         pass
     regular = np.linalg.slogdet(A)[0] != 0.0
     x = np.full(b.shape, np.nan)
     if regular.any():
-        x[regular] = np.linalg.solve(A[regular], b[regular][:, :, None])[:, :, 0]
+        x[regular] = np.linalg.solve(A[regular], b[regular][..., None])[..., 0]
     return x
 
 

@@ -16,7 +16,9 @@ conditional densities at each level are estimated by a difference quotient
 of restricted fits at tau +/- h (Hall-Sheather bandwidth), floored at 0.01,
 and their reciprocals form the weighting of the projection. A dataset's
 3K restricted fits, at every tau and tau +/- h, are one stacked LP batch
-(:func:`~mqrank.qrsolver.fit_levels`). The density scale cancels in the
+(:func:`~mqrank.qrsolver.fit_levels`); :func:`score_states` puts several
+datasets' fits in one batch over a stack of their designs, and each
+dataset's state has the same bits as alone. The density scale cancels in the
 projection, so only relative weights matter. Because the estimated
 weights differ across levels in finite samples, one projection is
 computed per level and the covariance scalar averages the
@@ -49,7 +51,7 @@ from .distributions import (_newton_quantiles, chisq_quantile, chisq_upper,
                             upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
-from .qrsolver import QuantileFit, fit_levels, rank_score_function
+from .qrsolver import _dots, fit_levels, rank_score_function
 
 # floor and division guard for the difference-quotient density estimate
 _DENSITY_FLOOR = 0.01
@@ -106,9 +108,10 @@ def bridge_covariance(taus) -> np.ndarray:
 
 
 def principal(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Principal sub-matrices of a square matrix a: (m, m) for one position
-    vector (m,), (C, m, m) for a (C, m) stack of them."""
-    return a[pos[..., :, None], pos[..., None, :]]
+    """Principal sub-matrices of a square matrix a, or of each of a stack
+    (..., K, K): (m, m) for one position vector (m,), (C, m, m) for a
+    (C, m) stack of them, behind the stack's leading axes."""
+    return a[..., pos[..., :, None], pos[..., None, :]]
 
 
 @dataclass(frozen=True)
@@ -138,27 +141,39 @@ def estimate_sparsity(Z: np.ndarray, y: np.ndarray, tau: float) -> SparsityEstim
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    [(h, clipped)] = _bandwidths(Z.shape[0], [tau])
+    bands = _bandwidths(Z.shape[0], [tau])
+    [(h, _)] = bands
     lo, hi = fit_levels(Z, [y, y], [tau - h, tau + h])
-    return _difference_quotient(Z, tau, h, clipped, lo, hi)
+    return _difference_quotients(Z[None], [tau], bands, lo.gamma_hat[None, None],
+                                 hi.gamma_hat[None, None])[0][0]
 
 
-def fit_with_sparsity(Z: np.ndarray, ys, taus) -> tuple[list, list]:
-    """Fit ys[j] at taus[j] and estimate its densities, for every j.
+def fit_with_sparsity(Zs: np.ndarray, ys, taus) -> tuple[list, list]:
+    """Fit ys[r][j] on the design Zs[r] at taus[j] and estimate its
+    densities, for every dataset r and level j.
 
-    All 3K programs (tau_j, tau_j - h_j, tau_j + h_j for each level) go to
-    :func:`fit_levels` as one batch; each level's densities are the
-    difference quotient of :func:`estimate_sparsity`. Returns the K fits
-    at taus and their K :class:`SparsityEstimates`.
+    Zs is an (R, n, p) stack of designs and ys an (R, K, n) array. All 3RK
+    programs (tau_j, tau_j - h_j, tau_j + h_j for each level of each
+    dataset) go to :func:`fit_levels` as one batch; each level's densities
+    are the difference quotient of :func:`estimate_sparsity`. Returns, per
+    dataset, its K fits at taus and its K :class:`SparsityEstimates`.
     """
-    Z = np.asarray(Z, dtype=float)
-    bands = _bandwidths(Z.shape[0], taus)
+    Zs = np.asarray(Zs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    count, n, p = Zs.shape
+    k = len(taus)
+    bands = _bandwidths(n, taus)
     levels = [t for tau, (h, _) in zip(taus, bands) for t in (tau, tau - h, tau + h)]
-    fits = fit_levels(Z, np.repeat(np.asarray(ys, dtype=float), 3, axis=0), levels)
-    sparsity = [_difference_quotient(Z, tau, h, clipped, lo, hi)
-                for tau, (h, clipped), lo, hi
-                in zip(taus, bands, fits[1::3], fits[2::3])]
-    return fits[0::3], sparsity
+    # one dataset's design is one (n, p) design, which fit_levels keeps as
+    # a broadcast view; several are one design per program
+    designs = Zs[0] if count == 1 else np.repeat(Zs, 3 * k, axis=0)
+    fits = fit_levels(designs, np.repeat(ys, 3, axis=1).reshape(-1, n),
+                      levels * count)
+    fits = [fits[r * 3 * k:(r + 1) * 3 * k] for r in range(count)]
+    gammas = np.array([[qfit.gamma_hat for qfit in row] for row in fits])
+    gammas = gammas.reshape(count, k, 3, p)
+    sparsity = _difference_quotients(Zs, taus, bands, gammas[:, :, 1], gammas[:, :, 2])
+    return [row[0::3] for row in fits], sparsity
 
 
 def _bandwidths(n: int, taus) -> list:
@@ -175,19 +190,26 @@ def _bandwidths(n: int, taus) -> list:
     return out
 
 
-def _difference_quotient(Z: np.ndarray, tau: float, h: float, clipped: bool,
-                         lo: QuantileFit, hi: QuantileFit) -> SparsityEstimates:
-    """Floored density estimates from the fits at tau -/+ h."""
-    spread = Z @ (hi.gamma_hat - lo.gamma_hat)
+def _difference_quotients(Zs: np.ndarray, taus, bands: list, gamma_lo: np.ndarray,
+                          gamma_hi: np.ndarray) -> list:
+    """Floored density estimates of every dataset r at every level j, from
+    its (R, K, p) fits at tau_j -/+ h_j on the design Zs[r]: one list of K
+    :class:`SparsityEstimates` per dataset. Each spread is its own
+    matrix-vector product."""
+    h = np.array([h for h, _ in bands])
+    spread = (Zs[:, None] @ (gamma_hi - gamma_lo)[..., None])[..., 0]
     with np.errstate(divide="ignore"):
-        f = 2.0 * h / (spread - _DENOM_GUARD)
+        f = 2.0 * h[:, None] / (spread - _DENOM_GUARD)
     f_hat = np.maximum(_DENSITY_FLOOR, f)
-    if not np.all(np.isfinite(f_hat)):
+    collapsed = np.nonzero(~np.isfinite(f_hat).all(axis=2))[1]
+    if collapsed.size:
         raise BandwidthInfeasible(
-            f"difference quotient collapsed at tau={tau}")
-    return SparsityEstimates(tau=float(tau), bandwidth=h, f_hat=f_hat,
-                             gamma_lo=lo.gamma_hat, gamma_hi=hi.gamma_hat,
-                             clipped=clipped)
+            f"difference quotient collapsed at tau={taus[collapsed[0]]}")
+    return [[SparsityEstimates(tau=float(tau), bandwidth=h, f_hat=f_hat[r, j],
+                               gamma_lo=gamma_lo[r, j], gamma_hi=gamma_hi[r, j],
+                               clipped=clipped)
+             for j, (tau, (h, clipped)) in enumerate(zip(taus, bands))]
+            for r in range(len(Zs))]
 
 
 def weighted_projection(Z: np.ndarray, x: np.ndarray,
@@ -196,22 +218,30 @@ def weighted_projection(Z: np.ndarray, x: np.ndarray,
 
     Weights are the density estimates themselves (reciprocal conditional
     scales); any common factor cancels. Returns the residual vector and
-    its mean square.
+    its mean square: the one-level case of :func:`_weighted_projections`.
     """
     Z = np.asarray(Z, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(f_hat, dtype=float)
-    n = Z.shape[0]
-    Zw = Z * w[:, None]
-    gram = Zw.T @ Z
+    resid, v = _weighted_projections(Z[None], x[None], w[None, None])
+    return resid[0, 0], float(v[0, 0])
+
+
+def _weighted_projections(Zs: np.ndarray, x: np.ndarray, f_hat: np.ndarray):
+    """Residuals (R, K, n) and mean squares (R, K) of the projection of
+    x[r] on the columns of Zs[r] weighted by f_hat[r, j], for every dataset
+    r and level j; each Gram matrix, solve and product its own call."""
+    n = Zs.shape[1]
+    Z = Zs[:, None]
+    Zw_t = np.swapaxes(Z * f_hat[..., None], -1, -2)
     try:
-        coef = np.linalg.solve(gram, Zw.T @ x)
+        coef = np.linalg.solve(Zw_t @ Z, Zw_t @ x[:, None, :, None])
     except np.linalg.LinAlgError as exc:
         raise SingularProjection("weighted nuisance Gram matrix is singular") from exc
     if not np.all(np.isfinite(coef)):
         raise SingularProjection("weighted projection produced non-finite coefficients")
-    resid = x - Z @ coef
-    return resid, float(resid @ resid / n)
+    resid = x[:, None, :] - (Z @ coef)[..., 0]
+    return resid, _dots(resid, resid) / n
 
 
 @dataclass(frozen=True)
@@ -248,34 +278,43 @@ class RankScoreState:
 
 
 def score_state(dataset: Dataset, spec: QuantileSpec) -> RankScoreState:
-    """Fit all restricted models and assemble the shared test state.
+    """Fit all restricted models and assemble the shared test state: the
+    one-dataset case of :func:`score_states`."""
+    return score_states([dataset], spec)[0]
 
-    For each level the response is offset by x times the null value; the
-    restricted fits (nuisance design only) at every level and its density
-    bandwidths are one :func:`fit_with_sparsity` batch. Each level's
-    projection residual and centered duals then form its score entry.
+
+def score_states(datasets, spec: QuantileSpec) -> list:
+    """The :class:`RankScoreState` of every dataset, datasets of one shape.
+
+    Each dataset is validated first. For each level the response is offset
+    by x times the null value; the restricted fits (nuisance design only)
+    of every dataset at every level and its density bandwidths are one
+    :func:`fit_with_sparsity` batch. Each level's projection residual and
+    centered duals then form its score entry. Every fit, projection and
+    product is its own call, so a dataset's state has the same bits in any
+    batch.
     """
-    validate(dataset, spec)
-    n = dataset.n
-    k = spec.k
-    root_n = np.sqrt(n)
-
-    ys = [dataset.y - dataset.x * null for null in spec.null_values]
-    fits, sparsity = fit_with_sparsity(dataset.Z, ys, spec.taus)
-    score = np.empty(k)
-    v_per_tau = np.empty(k)
-    proj_resid = np.empty((k, n))
-    for j, (qfit, sp) in enumerate(zip(fits, sparsity)):
-        resid, v_tau = weighted_projection(dataset.Z, dataset.x, sp.f_hat)
-        score[j] = resid @ rank_score_function(qfit) / root_n
-        v_per_tau[j] = v_tau
-        proj_resid[j] = resid
-
-    return RankScoreState(taus=spec.taus, null_values=spec.null_values,
-                          score=score, bridge=bridge_covariance(spec.taus),
-                          v_bar=float(v_per_tau.mean()), v_per_tau=v_per_tau,
-                          proj_resid=proj_resid, fits=tuple(fits),
-                          sparsity=tuple(sparsity))
+    for dataset in datasets:
+        validate(dataset, spec)
+    if len({(ds.n, ds.p) for ds in datasets}) != 1:
+        raise ValueError("score_states needs one or more datasets of one "
+                         "shape (n, p)")
+    Zs = np.array([ds.Z for ds in datasets])
+    x = np.array([ds.x for ds in datasets])
+    null = np.asarray(spec.null_values, dtype=float)
+    ys = np.array([ds.y for ds in datasets])[:, None, :] - x[:, None, :] * null[:, None]
+    fits, sparsity = fit_with_sparsity(Zs, ys, spec.taus)
+    f_hat = np.array([[sp.f_hat for sp in row] for row in sparsity])
+    resid, v_per_tau = _weighted_projections(Zs, x, f_hat)
+    centered = np.array([[rank_score_function(qfit) for qfit in row] for row in fits])
+    score = _dots(resid, centered) / np.sqrt(Zs.shape[1])
+    bridge = bridge_covariance(spec.taus)
+    return [RankScoreState(taus=spec.taus, null_values=spec.null_values,
+                           score=score[r], bridge=bridge,
+                           v_bar=float(v_per_tau[r].mean()),
+                           v_per_tau=v_per_tau[r], proj_resid=resid[r],
+                           fits=tuple(fits[r]), sparsity=tuple(sparsity[r]))
+            for r in range(len(datasets))]
 
 
 # --- reference-distribution descriptors ------------------------------------
@@ -608,14 +647,20 @@ class SubsetPlan:
         self.member = np.concatenate([np.eye(k, dtype=bool)[pos].any(axis=1)
                                       for _, pos, *_ in self._stacks])
 
-    def statistics(self, score: np.ndarray, v_bar: float) -> np.ndarray:
-        """Unit-scale statistic s_c' B_c s_c / v_bar of every subset."""
-        if v_bar <= 1e-12:
+    def statistics(self, score: np.ndarray, v_bar) -> np.ndarray:
+        """Unit-scale statistic s_c' B_c s_c / v_bar of every subset, for
+        one (K,) score or for each row of an (R, K) stack with its (R,)
+        v_bar; each quadratic form is its own product, on contiguous rows
+        as BLAS gives other bits for strided vectors."""
+        v_bar = np.asarray(v_bar)
+        if np.any(v_bar <= 1e-12):
             raise SingularProjection(
                 "target covariate lies in the span of the nuisance design")
-        quad = [(score[pos][:, None, :] @ b @ score[pos][:, :, None])[:, 0, 0]
-                for _, pos, b, *_ in self._stacks]
-        return np.maximum(np.concatenate(quad), 0.0) / v_bar
+        quad = []
+        for _, pos, b, *_ in self._stacks:
+            s = np.ascontiguousarray(score[..., pos])
+            quad.append((s[..., None, :] @ b @ s[..., :, None])[..., 0, 0])
+        return np.maximum(np.concatenate(quad, axis=-1), 0.0) / v_bar[..., None]
 
     def p_values(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Null tail probability of every subset's statistic."""

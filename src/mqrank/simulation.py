@@ -19,6 +19,18 @@ worker is passed the run's plans and critical values with its range, as
 one argument, and sends back each replication's decisions or failure,
 and the warnings raised; the caller counts the replications in order and
 divides once, so a report is the same bits for any number of CPUs.
+
+A range runs in chunks of at most _CHUNK replications. A chunk is one
+pass: its datasets' score states are one
+:func:`~mqrank.rankscore.score_states` batch and their Wald fits one
+:func:`wald_covariances` batch, each one
+:func:`~mqrank.qrsolver.fit_levels` call over a stack of designs, and
+every decision is an array operation over the chunk's rows. Each fit,
+product and solve in a pass is a row's own call, so a replication gets
+the same bits in any chunk. When a pass raises, its chunk is replayed one
+replication at a time, so each failure is that of its own replication,
+with its class and message, and the report is the same bits for any
+chunk length.
 """
 
 from __future__ import annotations
@@ -36,12 +48,11 @@ from scipy.special import chdtrc
 
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         subset_positions, validate_spec)
-from .distributions import chisq_upper
 from .exceptions import MqrankError, SingularCovariance
 from .multiplicity import bonferroni, closure_adjust, holm
 from .qrsolver import fit_levels, solve_regular
 from .rankscore import (SubsetPlan, WeightingMatrix, bridge_covariance,
-                        fit_with_sparsity, principal, score_state)
+                        fit_with_sparsity, principal, score_states)
 
 DGP_NAMES = ("null_normal", "scaled_t5", "skew_normal", "hetero_normal")
 METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
@@ -49,6 +60,12 @@ METHOD_NAMES = ("closed", "bonferroni", "holm", "raw", "wald")
 _SINGLE_LEVEL = {"bonferroni": bonferroni, "holm": holm, "raw": np.asarray}
 # failure messages a Monte Carlo report keeps, the first in replication order
 _KEPT_MESSAGES = 8
+# replications per engine pass: their LP programs are one fit_levels
+# batch and their decisions one array operation. At n = 100, K = 5 (2-core
+# x86) the 15 score programs cost 0.97 ms for one replication alone and
+# 0.44-0.47 ms each in batches of 8 to 24; a chunk of 10 holds 150 such
+# programs, one interior-point batch under _MAX_IPM_COLUMNS
+_CHUNK = 10
 
 # shape parameter of the skew-normal error and its centering shift
 _SKEW_SHAPE = 2.2
@@ -134,52 +151,74 @@ def target_coefficients(dataset: Dataset, spec: QuantileSpec) -> np.ndarray:
 
 
 def wald_covariance(dataset: Dataset, spec: QuantileSpec):
-    """Sandwich covariance of the target coefficients across levels.
+    """Sandwich covariance of the target coefficients across levels: the
+    one-dataset case of :func:`wald_covariances`."""
+    beta_hat, cov = wald_covariances([dataset], spec)
+    return beta_hat[0], cov[0]
+
+
+def wald_covariances(datasets, spec: QuantileSpec):
+    """Target coefficients (R, K) and their sandwich covariances (R, K, K)
+    across levels, for every dataset, datasets of one shape.
 
     Per level, the bread inverts the density-weighted Gram matrix of the
     full design with difference-quotient densities; cross-level blocks
-    scale with the Brownian-bridge covariance of the levels.
+    scale with the Brownian-bridge covariance of the levels. The fits of
+    every dataset are one :func:`fit_with_sparsity` batch, and each matrix
+    product and inverse is its own call.
     """
-    m = dataset.full_design()
-    n = dataset.n
-    j_mat = m.T @ m / n
-    fits, sparsity = fit_with_sparsity(m, [dataset.y] * spec.k, spec.taus)
-    beta_hat = np.array([qfit.gamma_hat[0] for qfit in fits])
-    bread_rows = np.empty((spec.k, m.shape[1]))
-    for idx, sp in enumerate(sparsity):
-        h_mat = (m * sp.f_hat[:, None]).T @ m / n
-        try:
-            hinv = np.linalg.inv(h_mat)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                f"density-weighted Gram matrix singular at tau={sp.tau}") from exc
-        bread_rows[idx] = hinv[0]
-    cov = bridge_covariance(spec.taus) * (bread_rows @ j_mat @ bread_rows.T) / n
+    m = np.array([ds.full_design() for ds in datasets])
+    n = m.shape[1]
+    j_mat = np.swapaxes(m, 1, 2) @ m / n
+    fits, sparsity = fit_with_sparsity(
+        m, np.array([[ds.y] * spec.k for ds in datasets]), spec.taus)
+    beta_hat = np.array([[qfit.gamma_hat[0] for qfit in row] for row in fits])
+    f_hat = np.array([[sp.f_hat for sp in row] for row in sparsity])
+    h_mat = np.swapaxes(m[:, None] * f_hat[..., None], -1, -2) @ m[:, None] / n
+    try:
+        bread_rows = np.ascontiguousarray(np.linalg.inv(h_mat)[..., 0, :])
+    except np.linalg.LinAlgError as exc:
+        singular = np.nonzero(np.linalg.slogdet(h_mat)[0] == 0.0)[1]
+        raise SingularCovariance(f"density-weighted Gram matrix singular at "
+                                 f"tau={spec.taus[singular[0]]}") from exc
+    cov = (bridge_covariance(spec.taus)
+           * (bread_rows @ j_mat @ np.swapaxes(bread_rows, 1, 2)) / n)
     return beta_hat, cov
 
 
 def wald_test(dataset: Dataset, spec: QuantileSpec) -> dict:
     """Joint Wald p-value for every nonempty subset of the hypotheses, in
-    :func:`all_subsets` order, from one stacked solve per subset size.
-    SingularCovariance names the first subset in that order whose
+    :func:`all_subsets` order: the one-dataset case of
+    :func:`wald_p_values`."""
+    beta_hat, cov = wald_covariance(dataset, spec)
+    p_values = wald_p_values(beta_hat[None], cov[None], spec)[0]
+    return dict(zip(all_subsets(spec.k), p_values.tolist()))
+
+
+def wald_p_values(beta_hat: np.ndarray, cov: np.ndarray,
+                  spec: QuantileSpec) -> np.ndarray:
+    """Joint Wald p-values (R, 2^K - 1) in :func:`all_subsets` order, for
+    each row of the (R, K) coefficients with its (R, K, K) covariance, from
+    one stacked solve per subset size. SingularCovariance names the first
+    subset, in that order and of the first row where several fail, whose
     covariance block is exactly singular or whose statistic is not finite
     and nonnegative."""
-    beta_hat, cov = wald_covariance(dataset, spec)
     dev = beta_hat - np.asarray(spec.null_values)
     p_values = []
     for pos in subset_positions(spec.k):
         sub = principal(cov, pos)
-        d = dev[pos]
-        stat = (d[:, None, :] @ solve_regular(sub, d)[:, :, None])[:, 0, 0]
-        bad = np.flatnonzero(~np.isfinite(stat) | (stat < 0.0))
+        # contiguous rows: BLAS gives other bits for strided vectors
+        d = np.ascontiguousarray(dev[:, pos])
+        stat = (d[..., None, :] @ solve_regular(sub, d)[..., :, None])[..., 0, 0]
+        bad = np.argwhere(~np.isfinite(stat) | (stat < 0.0))
         if bad.size:
             problem = ("covariance singular"
-                       if np.linalg.slogdet(sub[bad[0]])[0] == 0.0
+                       if np.linalg.slogdet(sub[tuple(bad[0])])[0] == 0.0
                        else "statistic ill-conditioned")
             raise SingularCovariance(f"Wald {problem} for subset "
-                                     f"{HypothesisSubset(tuple(pos[bad[0]] + 1))}")
+                                     f"{HypothesisSubset(tuple(pos[bad[0][1]] + 1))}")
         p_values.append(chdtrc(pos.shape[1], stat))
-    return dict(zip(all_subsets(spec.k), np.concatenate(p_values).tolist()))
+    return np.concatenate(p_values, axis=-1)
 
 
 # --- Monte Carlo engine --------------------------------------------------------
@@ -265,21 +304,27 @@ class _Job:
     subsets: tuple
 
 
-def _replicate(job: _Job, rep: int):
-    """Replication ``rep``'s per-hypothesis decisions of each method and
-    per-subset decisions of each local test; raises where it fails."""
+def _replicate(job: _Job, reps: range) -> list:
+    """The decisions of the replications in ``reps``, computed as one
+    chunk: per replication, each method's per-hypothesis decisions and each
+    local test's per-subset decisions. Raises where any of them fails.
+
+    The chunk's score states and Wald fits are one batch each, and every
+    decision is an array operation over the chunk's rows; a row has the
+    bits of its replication run alone.
+    """
+    datasets = [generate(job.scenario, rep) for rep in reps]
+    states = score_states(datasets, job.spec)
+    score = np.array([state.score for state in states])
+    v_bar = np.array([state.v_bar for state in states])
+    t = np.asarray(job.spec.taus)
+    # squared by libm's pow, as a scalar score ** 2 is; numpy's array
+    # square (x * x) differs from it in the last bit for about 1 value in
+    # 1,200
+    single_p = chdtrc(1, np.float_power(score, 2) / (v_bar[:, None] * t * (1.0 - t)))
+
     rejected = {}
     local = {}
-    dataset = generate(job.scenario, rep)
-    state = score_state(dataset, job.spec)
-    v_bar = state.v_bar
-    score = state.score
-    taus = job.spec.taus
-
-    single_p = np.array([
-        chisq_upper(score[j] ** 2 / (v_bar * tau * (1.0 - tau)), 1)
-        for j, tau in enumerate(taus)])
-
     for name, plan, crit in job.tests:
         local_reject = plan.statistics(score, v_bar) >= crit
         local[f"rankscore:{name}"] = local_reject
@@ -287,13 +332,15 @@ def _replicate(job: _Job, rep: int):
             rejected[f"closed:{name}"] = ~closure_adjust(~local_reject,
                                                          plan.member)
     for m in job.singles:
-        rejected[m] = _SINGLE_LEVEL[m](single_p) <= job.alpha
+        rejected[m] = np.array([_SINGLE_LEVEL[m](p) for p in single_p]) <= job.alpha
 
     if job.wald:
-        wald_p = wald_test(dataset, job.spec)
-        local["wald"] = np.array([wald_p[s] <= job.alpha for s in job.subsets])
-        rejected["wald"] = local["wald"][:len(taus)]
-    return rejected, local
+        wald_p = wald_p_values(*wald_covariances(datasets, job.spec), job.spec)
+        local["wald"] = wald_p <= job.alpha
+        rejected["wald"] = local["wald"][:, :len(t)]
+    return [({name: rej[i] for name, rej in rejected.items()},
+             {name: rej[i] for name, rej in local.items()})
+            for i in range(len(reps))]
 
 
 def _run_range(job: _Job, reps: range):
@@ -304,17 +351,33 @@ def _run_range(job: _Job, reps: range):
     ``(class name, message)`` of a failure that ``job.on_error`` records,
     or the index of a failure that it does not record, which ends the
     range; the caller replays that one to raise.
+
+    The range runs in near-equal chunks of at most _CHUNK replications,
+    each one :func:`_replicate` pass. A chunk whose pass raises is run
+    again one replication at a time, so every outcome is that of its
+    replication run alone. The warnings of a pass that raised are kept: a
+    pass reaches a step only when all its replications got through the
+    steps before, so the replay would raise them too, and the warnings
+    registry may not show them twice.
     """
     outcomes = []
+    chunks = -(-len(reps) // _CHUNK)
+    pending = [reps[len(reps) * i // chunks:len(reps) * (i + 1) // chunks]
+               for i in range(chunks)]
     with warnings.catch_warnings(record=True) as caught:
-        for rep in reps:
+        while pending:
+            chunk = pending.pop(0)
             try:
-                outcomes.append(_replicate(job, rep))
+                outcomes += _replicate(job, chunk)
             except Exception as exc:
-                if job.on_error == "raise" or not isinstance(exc, MqrankError):
-                    outcomes.append(rep)
+                if len(chunk) > 1:
+                    pending[:0] = [range(rep, rep + 1) for rep in chunk]
+                elif job.on_error == "raise" or not isinstance(exc, MqrankError):
+                    outcomes.append(chunk.start)
                     break
-                outcomes.append((type(exc).__name__, f"replication {rep}: {exc}"))
+                else:
+                    outcomes.append((type(exc).__name__,
+                                     f"replication {chunk.start}: {exc}"))
     return outcomes, [(w.category, str(w.message), w.filename, w.lineno)
                       for w in caught]
 
@@ -425,7 +488,7 @@ def run_monte_carlo(scenario: Scenario,
     error_classes = Counter()
     for outcome in (o for outcomes, _ in ranges for o in outcomes):
         if isinstance(outcome, int):
-            _replicate(job, outcome)        # raises the original error
+            _replicate(job, range(outcome, outcome + 1))   # raises again
             raise RuntimeError(f"replication {outcome} raised in a worker "
                                "process but not when run again")
         rejected, local = outcome

@@ -236,10 +236,10 @@ def test_cmd_simulate_alpha_out_of_range_exit_2(alpha, capsys):
 
 def test_cmd_simulate_all_replications_failed_exit_3(monkeypatch, tmp_path,
                                                       capsys):
-    def failing(dataset, spec):
+    def failing(datasets, spec):
         raise MqrankError("synthetic failure")
 
-    monkeypatch.setattr(simulation, "score_state", failing)
+    monkeypatch.setattr(simulation, "score_states", failing)
     out = tmp_path / "rep.json"
     code = run_cli("simulate", "--scenario", "null_calibration",
                    "--replications", "3", "--format", "json", "--out", str(out))

@@ -70,11 +70,12 @@ def test_engine_closed_decisions_match_closure_adjust(monkeypatch):
             return np.full(len(self.member), -alpha)
 
         def statistics(self, score, v_bar):
-            return -draws["p"]
+            # one row of local statistics per replication of the chunk
+            return np.broadcast_to(-draws["p"], score.shape[:-1] + draws["p"].shape)
 
     monkeypatch.setattr(sim, "SubsetPlan", FixedLocalP)
-    monkeypatch.setattr(sim, "score_state", lambda dataset, spec: SimpleNamespace(
-        score=np.ones(spec.k), v_bar=1.0))
+    monkeypatch.setattr(sim, "score_states", lambda datasets, spec: [
+        SimpleNamespace(score=np.ones(spec.k), v_bar=1.0) for _ in datasets])
     for k in range(1, 7):
         sc = Scenario(dgp="null_normal", n=10, taus=np.linspace(0.2, 0.8, k),
                       replications=1, seed=k)
@@ -213,3 +214,28 @@ def test_local_p_invariant_under_nuisance_reparametrization():
         assert np.all(mapped.Z[:, 0] == 1.0)
         worst = max(worst, np.max(np.abs(_local_p(mapped) - _local_p(ds))))
     assert worst <= 1e-9
+
+
+def test_scores_and_adjusted_p_invariant_under_row_permutation():
+    # on continuous data each restricted fit's optimal vertex is unique, so
+    # a row permutation permutes the duals, densities and projection
+    # residuals with the rows, and every sum over rows changes only by
+    # rounding. Tied responses, whose vertex depends on row order, are not
+    # covered here.
+    worst_score = worst_p = 0.0
+    spec = QuantileSpec(METAMORPHIC_TAUS, null_values=(0.1, 0.0, 0.2, -0.1, 0.0))
+    for seed in range(20):
+        rng = np.random.default_rng([20261021, seed])
+        ds = _continuous_dataset(rng, n=int(rng.integers(40, 200)))
+        perm = rng.permutation(ds.n)
+        permuted = Dataset(y=ds.y[perm], x=ds.x[perm], Z=ds.Z[perm])
+        state, moved = score_state(ds, spec), score_state(permuted, spec)
+        assert np.unique(ds.y).size == ds.n
+        worst_score = max(worst_score, np.max(np.abs(moved.score - state.score)))
+        for w in METAMORPHIC_WEIGHTINGS + ("inverse",):
+            weighting = WeightingMatrix.parse(w)
+            worst_p = max(worst_p, np.max(np.abs(
+                closed_test(moved, weighting).adjusted_p
+                - closed_test(state, weighting).adjusted_p)))
+    assert worst_score <= 1e-10
+    assert worst_p <= 1e-10

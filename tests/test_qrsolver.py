@@ -489,3 +489,72 @@ def test_fit_levels_equals_the_simplex_path_on_hard_inputs(monkeypatch, kind):
     for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
         assert_same_fit(got, ref)
     assert sum(cols for _, cols in calls) < len(taus) * Z.shape[0]
+
+
+# --- stacks of designs -------------------------------------------------------------
+
+def design_stack(rng, n, p, designs):
+    """Distinct (n, p) designs: random_instance's, or for p = 1 a distinct
+    constant column each, so that no two of them are equal."""
+    if p == 1:
+        return [np.full((n, 1), 1.0 + g) for g in range(designs)]
+    return [random_instance(rng, n, p)[0] for _ in range(designs)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 300),
+       p=st.integers(1, 3), designs=st.integers(1, 4),
+       taus=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6))
+def test_fit_levels_on_a_design_stack_equals_per_design_calls(seed, n, p,
+                                                             designs, taus):
+    # each design's blocks, one run of consecutive blocks, give the bits of
+    # one fit_levels call on that design alone; every other block has
+    # tied three-level responses, which the certificate may leave to the
+    # simplex, where a design's blocks are still one stacked solve
+    rng = np.random.default_rng(seed)
+    Zs = design_stack(rng, n, p, designs)
+    ys = [np.array([rng.integers(0, 3, n).astype(float) if b % 2
+                    else Z @ rng.standard_normal(p) + rng.standard_normal(n)
+                    for b in range(len(taus))]) for Z in Zs]
+    stack = np.repeat(np.array(Zs), len(taus), axis=0)
+    got = fit_levels(stack, np.concatenate(ys), taus * designs)
+    want = [qfit for Z, y in zip(Zs, ys) for qfit in fit_levels(Z, y, taus)]
+    for g, w in zip(got, want, strict=True):
+        assert_same_fit(g, w)
+
+
+def test_fallback_blocks_share_one_simplex_solve_per_design(monkeypatch):
+    # with no interior-point step every block falls back: the blocks of
+    # each design are one linprog call, as in a call on that design alone
+    rng = np.random.default_rng(43)
+    n = 60
+    Zs = design_stack(rng, n, 2, 3)
+    taus = [0.2, 0.5, 0.8]
+    ys = np.array([Z @ rng.standard_normal(2) + rng.standard_normal(n)
+                   for Z in Zs for _ in taus])
+    simplex_only(monkeypatch)
+    calls = count_linprog_calls(monkeypatch)
+    fits = fit_levels(np.repeat(np.array(Zs), len(taus), axis=0), ys, taus * 3)
+    assert calls == [(2 * len(taus), n * len(taus))] * 3
+    for g, Z in enumerate(Zs):
+        want = fit_levels(Z, ys[3 * g:3 * g + 3], taus)
+        for got, ref in zip(fits[3 * g:3 * g + 3], want, strict=True):
+            assert_same_fit(got, ref)
+
+
+def test_fit_levels_on_a_stack_with_a_rank_deficient_design_raises(monkeypatch):
+    rng = np.random.default_rng(1)
+    Z, y = random_instance(rng, 20, 3)
+    deficient = Z.copy()
+    deficient[:, 2] = 2 * deficient[:, 1]
+    calls = count_linprog_calls(monkeypatch)
+    with pytest.raises(Degenerate, match="rank deficient"):
+        fit_levels(np.array([Z, Z, deficient, Z]), [y] * 4, [0.25, 0.75] * 2)
+    assert calls == []
+
+
+def test_fit_levels_rejects_a_stack_of_the_wrong_length():
+    rng = np.random.default_rng(2)
+    Z, y = random_instance(rng, 20, 2)
+    with pytest.raises(ValueError, match="one per level"):
+        fit_levels(np.array([Z, Z]), [y, y, y], [0.25, 0.5, 0.75])

@@ -16,7 +16,7 @@ from mqrank.distributions import (WeightedChiSquareMixture, imhof_upper,
                                   mixture_quantile)
 from mqrank.multiplicity import closed_test
 from mqrank.rankscore import (ErrorFamily, SubsetPlan, _mixture, bandwidth,
-                              hall_sheather_bandwidth)
+                              hall_sheather_bandwidth, score_states)
 from helpers import intercept_only_duals, make_dataset, synthetic_state
 
 # frozen from the same 1e7-draw oracle run as the distribution tests
@@ -219,6 +219,34 @@ def test_score_state_fits_equal_per_level_solves(n, taus):
             (want_sp.tau, want_sp.bandwidth, want_sp.clipped)
         for field in ("f_hat", "gamma_lo", "gamma_hi"):
             assert np.array_equal(getattr(got_sp, field), getattr(want_sp, field))
+
+
+def test_score_states_of_a_batch_equal_one_dataset_states():
+    # a dataset's state has the same bits in any batch, clipped bandwidths
+    # and nonzero null values included
+    rng = np.random.default_rng(47)
+    datasets = [make_dataset(rng, n=40, beta=0.3, scale="hetero") for _ in range(7)]
+    spec = QuantileSpec((0.02, 0.3, 0.6, 0.9), null_values=(0.1, -0.2, 0.0, 0.3))
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        states = score_states(datasets, spec)
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        alone = [score_state(ds, spec) for ds in datasets]
+    for got, want in zip(states, alone, strict=True):
+        assert got.v_bar == want.v_bar
+        for field in ("score", "v_per_tau", "proj_resid", "bridge"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        for g, w in zip(got.fits + got.sparsity, want.fits + want.sparsity):
+            assert g.tau == w.tau
+            for field in ("a_hat", "gamma_hat", "f_hat", "gamma_lo", "gamma_hi"):
+                if hasattr(w, field):
+                    assert np.array_equal(getattr(g, field), getattr(w, field))
+
+
+def test_score_states_rejects_datasets_of_different_shapes():
+    rng = np.random.default_rng(48)
+    with pytest.raises(ValueError, match="one shape"):
+        score_states([make_dataset(rng, n=40), make_dataset(rng, n=41)],
+                     QuantileSpec((0.25, 0.75)))
 
 
 def test_score_state_bookkeeping():
@@ -447,6 +475,23 @@ def test_plan_stacks_equal_per_subset_terms(k, name):
     for subset, p in local_p.items():
         assert p == pytest.approx(
             statistic_generalized(state, subset, weighting).p_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 9])
+@pytest.mark.parametrize("name", ["identity", "inverse", "density:normal"])
+def test_plan_statistics_of_a_score_stack_equal_one_row_calls(k, name):
+    # the Monte Carlo engine takes a chunk's statistics from one (R, K)
+    # stack of scores: each row must have the bits of its own call
+    plan = SubsetPlan(tuple(np.linspace(0.1, 0.9, k)), WeightingMatrix.parse(name))
+    rng = np.random.default_rng(k)
+    score = rng.standard_normal((9, k)) * rng.uniform(0.1, 3.0, (9, 1))
+    v_bar = rng.uniform(0.2, 2.0, 9)
+    stack = plan.statistics(score, v_bar)
+    assert stack.shape == (9, 2 ** k - 1)
+    for row, s, v in zip(stack, score, v_bar):
+        assert np.array_equal(row, plan.statistics(s, float(v)))
+    with pytest.raises(SingularProjection):
+        plan.statistics(score, np.where(np.arange(9) == 4, 0.0, v_bar))
 
 
 @pytest.mark.parametrize("k", [5, 9])

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import signal
@@ -19,7 +20,8 @@ from mqrank.exceptions import (BandwidthInfeasible, SingularCovariance,
 from mqrank.datamodel import MAX_HYPOTHESES, all_subsets
 from mqrank.distributions import chisq_upper
 from mqrank.simulation import (load_scenario, parse_scenario_text,
-                               target_coefficients, wald_covariance)
+                               target_coefficients, wald_covariance,
+                               wald_covariances, wald_p_values)
 
 
 def test_generate_is_deterministic():
@@ -180,6 +182,21 @@ def test_wald_batches_equal_per_level_fits():
     assert np.array_equal(cov, cov_loop)
 
 
+def test_wald_of_a_batch_equals_one_dataset_wald():
+    # every dataset's coefficients, covariance and p-values have the same
+    # bits in a batch as alone
+    sc = Scenario(dgp="scaled_t5", beta=0.2, n=120, replications=6, seed=42)
+    spec = QuantileSpec((0.1, 0.3, 0.5, 0.7, 0.9), (0.0, 0.1, -0.1, 0.0, 0.2))
+    datasets = [generate(sc, rep) for rep in range(6)]
+    beta_hat, cov = wald_covariances(datasets, spec)
+    p_values = wald_p_values(beta_hat, cov, spec)
+    for r, ds in enumerate(datasets):
+        beta_one, cov_one = wald_covariance(ds, spec)
+        assert np.array_equal(beta_hat[r], beta_one)
+        assert np.array_equal(cov[r], cov_one)
+        assert p_values[r].tolist() == list(wald_test(ds, spec).values())
+
+
 def _per_subset_wald(dataset, spec):
     """wald_test one subset at a time, from its definition."""
     beta_hat, cov = wald_covariance(dataset, spec)
@@ -296,25 +313,27 @@ def _replication_of(sc):
 
 
 def _failing_on(sc, real, failures):
-    """Stand-in for ``real`` that raises a new ``failures[r]()`` on
-    replication r."""
+    """Stand-in for the batched step ``real`` that raises a new
+    ``failures[r]()`` on a batch holding replication r: the engine's pass
+    over a chunk, and the replay of replication r alone."""
     replication = _replication_of(sc)
 
-    def stub(dataset, spec):
-        r = replication(dataset)
-        if r in failures:
-            raise failures[r]()
-        return real(dataset, spec)
+    def stub(datasets, spec):
+        for dataset in datasets:
+            r = replication(dataset)
+            if r in failures:
+                raise failures[r]()
+        return real(datasets, spec)
     return stub
 
 
 def test_run_monte_carlo_records_errors(monkeypatch):
     sc = Scenario(dgp="null_normal", n=100, taus=(0.5,),
                   replications=10, seed=47)
-    flaky = _failing_on(sc, sim.score_state, dict.fromkeys(
+    flaky = _failing_on(sc, sim.score_states, dict.fromkeys(
         (2, 5, 8), lambda: MqrankError("synthetic failure")))
 
-    monkeypatch.setattr(sim, "score_state", flaky)
+    monkeypatch.setattr(sim, "score_states", flaky)
     rep = run_monte_carlo(sc, methods=("raw",), on_error="record")
     assert rep.error_count == 3
     assert rep.replications_used == 7
@@ -328,15 +347,15 @@ def test_run_monte_carlo_records_errors(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_failed_replication_adds_to_no_tally(monkeypatch, workers):
-    # wald_test runs last in a replication: when it raises, the rank-score,
+    # the Wald fits run last in a replication: when they raise, the rank-score,
     # closed and raw decisions of that replication must not be counted,
     # whether the replication ran in this process or in a forked worker
     sc = Scenario(dgp="null_normal", beta=2.0, n=100, taus=(0.25, 0.5, 0.75),
                   replications=9, seed=1)
-    flaky = _failing_on(sc, sim.wald_test, dict.fromkeys(
+    flaky = _failing_on(sc, sim.wald_covariances, dict.fromkeys(
         (2, 5, 8), lambda: SingularCovariance("synthetic failure")))
 
-    monkeypatch.setattr(sim, "wald_test", flaky)
+    monkeypatch.setattr(sim, "wald_covariances", flaky)
     monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
     rep = run_monte_carlo(sc, methods=("closed", "raw", "wald"))
     assert rep.replications_used == 6
@@ -356,8 +375,8 @@ def test_report_identical_for_any_worker_count(monkeypatch):
     failures = {r: (lambda r=r, cls=cls: cls(f"synthetic failure {r}"))
                 for r, cls in zip((0, 1, 3, 4, 5, 7, 8, 9, 10),
                                   [SingularProjection, BandwidthInfeasible] * 5)}
-    monkeypatch.setattr(sim, "score_state",
-                        _failing_on(sc, sim.score_state, failures))
+    monkeypatch.setattr(sim, "score_states",
+                        _failing_on(sc, sim.score_states, failures))
     reports = []
     for workers in (1, 2, 3, 12):
         monkeypatch.setattr(sim, "_worker_count", lambda reps, w=workers: w)
@@ -373,6 +392,74 @@ def test_report_identical_for_any_worker_count(monkeypatch):
                                            "BandwidthInfeasible": 4}
 
 
+def _counting(real, sizes):
+    """``real`` that records the number of datasets of every batch it gets."""
+    def counted(datasets, spec):
+        sizes.append(len(datasets))
+        return real(datasets, spec)
+    return counted
+
+
+@pytest.mark.parametrize("on_error", ["record", "raise"])
+def test_failure_in_the_middle_of_a_chunk(monkeypatch, on_error):
+    # replication 5 fails inside the first chunk: the chunk's batch raises,
+    # its replications run again one at a time, and the report (or the
+    # raised error) is the one of a run with chunks of one replication
+    sc = Scenario(dgp="hetero_normal", beta=0.4, n=100, taus=(0.25, 0.5, 0.75),
+                  replications=2 * sim._CHUNK + 3, seed=58)
+    sizes = []
+    monkeypatch.setattr(sim, "score_states", _counting(_failing_on(
+        sc, sim.score_states, {5: lambda: BandwidthInfeasible("synthetic 5")}),
+        sizes))
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 1)
+    outcomes = []
+    for chunk in (sim._CHUNK, 1):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        if on_error == "raise":
+            with pytest.raises(BandwidthInfeasible, match="^synthetic 5$"):
+                run_monte_carlo(sc, methods=("closed", "holm", "wald"),
+                                on_error=on_error)
+        else:
+            outcomes.append(run_monte_carlo(
+                sc, methods=("closed", "holm", "wald"), on_error=on_error).to_json())
+        # the failure fired in a batch of several replications, then alone
+        assert max(sizes) > 1 if chunk > 1 else set(sizes) == {1}
+        sizes.clear()
+    if on_error == "record":
+        chunked, single = outcomes
+        assert chunked == single
+        report = json.loads(chunked)
+        assert report["error_messages"] == ["replication 5: synthetic 5"]
+        assert report["replications_used"] == sc.replications - 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_report_identical_for_any_chunk_length(monkeypatch, workers):
+    # a replication's decisions have the same bits in any chunk, failures
+    # and warnings included (tau = 0.02 clips its bandwidth at n = 40)
+    sc = Scenario(dgp="scaled_t5", beta=0.3, n=40, taus=(0.02, 0.3, 0.7),
+                  replications=3 * sim._CHUNK + 4, seed=59)
+    failures = {r: (lambda r=r: SingularProjection(f"synthetic {r}"))
+                for r in (1, sim._CHUNK + 2)}
+    monkeypatch.setattr(sim, "wald_covariances",
+                        _failing_on(sc, sim.wald_covariances, failures))
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
+    reports = []
+    for chunk in (sim._CHUNK, 1):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            report = run_monte_carlo(
+                sc, methods=("closed", "bonferroni", "holm", "raw", "wald"),
+                weightings=("identity", "inverse"))
+        reports.append((report.to_json(),
+                        [(w.category, str(w.message)) for w in caught]))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["error_count"] == 2
+    assert len(reports[0][1]) == 2     # the clip, from the score and Wald fits
+
+
 def test_raised_failure_is_replayed_in_caller(monkeypatch):
     # a worker stops at its failing replication and the caller runs that
     # replication again, so the caller sees the original exception; a
@@ -381,8 +468,8 @@ def test_raised_failure_is_replayed_in_caller(monkeypatch):
                   replications=9, seed=54)
     issues = [ValidationIssue("FirstCode", "first issue"),
               ValidationIssue("SecondCode", "second issue")]
-    monkeypatch.setattr(sim, "score_state", _failing_on(
-        sc, sim.score_state, {8: lambda: ValidationError(issues)}))
+    monkeypatch.setattr(sim, "score_states", _failing_on(
+        sc, sim.score_states, {8: lambda: ValidationError(issues)}))
     raised = []
     for workers in (1, 3):
         monkeypatch.setattr(sim, "_worker_count", lambda reps, w=workers: w)
@@ -401,8 +488,8 @@ def test_unrecorded_failure_is_replayed_under_record(monkeypatch, workers):
     # on_error="record" records only MqrankError; any other exception
     # reaches the caller as itself, wherever its replication ran
     sc = Scenario(dgp="null_normal", n=100, taus=(0.5,), replications=9, seed=57)
-    monkeypatch.setattr(sim, "score_state", _failing_on(
-        sc, sim.score_state, {4: lambda: ZeroDivisionError("synthetic")}))
+    monkeypatch.setattr(sim, "score_states", _failing_on(
+        sc, sim.score_states, {4: lambda: ZeroDivisionError("synthetic")}))
     monkeypatch.setattr(sim, "_worker_count", lambda reps: workers)
     with pytest.raises(ZeroDivisionError, match="synthetic"):
         run_monte_carlo(sc, methods=("raw",), on_error="record")
@@ -429,14 +516,14 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch):
     # a worker killed mid-run (say, by the kernel's out-of-memory killer)
     # fails the call; its range is not silently dropped or waited on
     sc = Scenario(dgp="null_normal", n=100, taus=(0.5,), replications=4, seed=56)
-    real = sim.score_state
+    real = sim.score_states
 
-    def killed_in_worker(dataset, spec):
+    def killed_in_worker(datasets, spec):
         if multiprocessing.parent_process() is not None:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(dataset, spec)
+        return real(datasets, spec)
 
-    monkeypatch.setattr(sim, "score_state", killed_in_worker)
+    monkeypatch.setattr(sim, "score_states", killed_in_worker)
     monkeypatch.setattr(sim, "_worker_count", lambda reps: 2)
     with pytest.raises(BrokenProcessPool):
         run_monte_carlo(sc, methods=("raw",))
