@@ -16,9 +16,10 @@ Strong duality ties the two solutions together:
 A rank-score test needs many such programs: every level, and the levels
 tau +/- h of its density estimate, and a Monte Carlo run needs them for
 every replication's dataset. They share no variable, so :func:`fit_levels`
-solves them as one batch, in two stages. Each program (a block) has its
-own design: Z is one (n, p) design for every block, kept as a broadcast
-view of itself, or a (B, n, p) stack with one design per block.
+solves them as one batch, in two stages. Its batch is every one of R
+designs at every one of M levels: each (design, level) pair is a program
+(a block), and the blocks come design-major, so block r * M + j is design
+r at level j.
 
 First, a Frisch-Newton interior point (Portnoy & Koenker 1997, Statistical
 Science 12:279; the rqfnb routine of quantreg) runs on every block at
@@ -34,23 +35,25 @@ each block's optimal vertex is unique, so a certified block is
 bit-identical to that stage's result. Every product with a design is the
 block's own matrix-vector product and each p-by-p solve its own LAPACK
 call, so a block's bits, and whether it is certified, do not depend on the
-other blocks of its batch: a stack gives each block the bits of a call on
-its design alone. The interior point starts no threads and needs no scipy.
+other blocks of its batch. The interior point starts no threads and needs
+no scipy.
 
 Second, every block the certificate rejects (tied responses that leave
 more than p zero residuals, a degenerate vertex, a block that did not
 converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex. The
-rejected blocks of each run of consecutive blocks with the same design
-are stacked into one LP whose constraint matrix is block-diagonal in Z'
-(built directly in CSC form) and solved with one ``linprog`` call per
+rejected blocks of each design are stacked into one LP whose constraint
+matrix is block-diagonal in Z' and solved with one ``linprog`` call per
 chunk of at most _MAX_COLUMNS observations, which bounds the solver's
-working memory; so a run gets the simplex solves of a call on its design
-alone. The generic blocks of a solve (exactly p interior duals) go
-through the same polish. A vertex of the stacked
-polytope is a vertex of every block; with tied responses a block may have
-several optimal vertices and the stacked solve may pick a different,
-equally optimal one than a one-level solve. :func:`fit` is the one-level
-batch.
+working memory. So each design gets the fits of a call on that design
+alone, whatever the other designs of the batch. HiGHS fails on
+objectives of order 1e6 and beyond, so each block's objective is divided
+by a power of two at or above its max|y| (no bits lost) and its
+multipliers are multiplied back by it. The generic blocks of a solve
+(exactly p interior duals) go through the same polish, on the unscaled
+response. A vertex of the stacked polytope is a vertex of every block;
+with tied responses a block may have several optimal vertices and the
+stacked solve may pick a different, equally optimal one than a one-level
+solve. :func:`fit` is the one-design, one-level batch.
 
 HiGHS presolve is off. Each block is already in reduced form (box bounds
 [0, 1], p independent equality rows, no empty or duplicate row), so
@@ -149,18 +152,18 @@ def fit(Z: np.ndarray, y: np.ndarray, tau: float) -> QuantileFit:
 
 
 def fit_levels(Z: np.ndarray, ys, taus) -> list:
-    """Fit the taus[b]-th quantile regression of ys[b] on its design, for
-    every block b.
+    """Fit the taus[j]-th quantile regression of each design's j-th
+    response on that design, for every design and level j.
 
-    Z is one (n, p) design for every block, or a (B, n, p) stack with one
-    design per block; one design stays a broadcast view of itself. Each
+    Z is one (n, p) design with ys of shape (M, n), or an (R, n, p) stack
+    of designs with ys of shape (R, M, n), for M = len(taus) levels. Each
     chunk of at most _MAX_IPM_COLUMNS stacked observations goes through
     the batched interior point and its vertex certificate. The blocks left
     uncertified go to stacked simplex solves of at most _MAX_COLUMNS
-    observations each, one run of consecutive blocks with the same design
-    at a time (see the module docstring). Levels, shapes, n > p and the
-    rank of each design are checked once, before any solve. Returns one
-    :class:`QuantileFit` per block, in the order given.
+    observations each, one design at a time (see the module docstring).
+    Levels, shapes, n > p and the rank of each design are checked once,
+    before any solve. Returns one :class:`QuantileFit` per block,
+    design-major: the fit of ys[r][j] is at r * M + j.
 
     Raises
     ------
@@ -179,57 +182,41 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
     for tau in taus:
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {tau}")
-    if Z.ndim == 2:
-        designs, run = Z[None], np.zeros(len(taus), dtype=int)
-    elif Z.ndim == 3 and len(Z) == len(taus):
-        # consecutive blocks with the same design are one run
-        starts = np.ones(len(Z), dtype=bool)
-        starts[1:] = np.any(Z[1:] != Z[:-1], axis=(1, 2))
-        designs, run = Z[starts], np.cumsum(starts) - 1
-    else:
-        raise ValueError(f"need one (n, p) design or one per level, got "
-                         f"shape {Z.shape} for {len(taus)} levels")
-    stack = np.broadcast_to(Z, (len(taus),) + Z.shape[-2:])
-    blocks, n, p = stack.shape
-    if ys.shape != (blocks, n):
-        raise ValueError(f"need one length-{n} response per level, got "
-                         f"shape {ys.shape} for {len(taus)} levels")
+    if Z.ndim not in (2, 3):
+        raise ValueError(f"need one (n, p) design or an (R, n, p) stack, got "
+                         f"shape {Z.shape}")
+    designs = Z.reshape((-1,) + Z.shape[-2:])
+    count, n, p = designs.shape
+    levels = len(taus)
+    if ys.shape != Z.shape[:-2] + (levels, n):
+        raise ValueError(f"need responses of shape {Z.shape[:-2] + (levels, n)}, "
+                         f"one per level of each design, got shape {ys.shape}")
     if n <= p:
         raise Degenerate(f"need n > p, got n={n}, p={p}")
     if np.any(np.linalg.matrix_rank(designs) < p):
         raise Degenerate("design matrix is rank deficient")
 
+    ys = ys.reshape(-1, n)
+    block_taus = taus * count
     col_sum = designs.sum(axis=1)
-    rhs = (1.0 - np.asarray(taus)[:, None]) * col_sum[run]
+    rhs = ((1.0 - np.asarray(taus)[:, None]) * col_sum[:, None]).reshape(-1, p)
+    blocks = len(block_taus)
     fits = {}
     # near-equal chunks of at most _MAX_IPM_COLUMNS observations each
     chunks = -(-blocks // max(1, _MAX_IPM_COLUMNS // n))
     cuts = [blocks * i // chunks for i in range(chunks + 1)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         fits.update((lo + b, qfit) for b, qfit in _certified_fits(
-            stack[lo:hi], ys[lo:hi], taus[lo:hi], rhs[lo:hi]).items())
-    rest = [b for b in range(blocks) if b not in fits]
-    for g in dict.fromkeys(run[rest].tolist()):
-        for chunk in _chunks([b for b in rest if run[b] == g], _MAX_COLUMNS // n):
+            designs[np.arange(lo, hi) // levels], ys[lo:hi], block_taus[lo:hi],
+            rhs[lo:hi]).items())
+    per_call = max(1, _MAX_COLUMNS // n)
+    for r in range(count):
+        rest = [b for b in range(r * levels, (r + 1) * levels) if b not in fits]
+        for lo in range(0, len(rest), per_call):
+            chunk = rest[lo:lo + per_call]
             fits.update(zip(chunk, _solve_stacked(
-                designs[g], ys[chunk], [taus[b] for b in chunk], col_sum[g])))
+                designs[r], ys[chunk], [block_taus[b] for b in chunk], col_sum[r])))
     return [fits[b] for b in range(blocks)]
-
-
-def _chunks(blocks, per_chunk: int) -> list:
-    """Consecutive runs of at most max(1, per_chunk) of the given blocks."""
-    per_chunk = max(1, per_chunk)
-    return [list(blocks[lo:lo + per_chunk])
-            for lo in range(0, len(blocks), per_chunk)]
-
-
-def _select(stack: np.ndarray, blocks) -> np.ndarray:
-    """The given blocks (indices or a mask) of a stack of per-block
-    arrays: a view where the stack broadcasts one array, else a copy."""
-    if stack.strides[0] == 0 and len(stack):
-        count = np.arange(len(stack))[blocks].size
-        return np.broadcast_to(stack[0], (count,) + stack.shape[1:])
-    return stack[blocks]
 
 
 def _certified_fits(Zs: np.ndarray, ys: np.ndarray, taus: list,
@@ -240,14 +227,14 @@ def _certified_fits(Zs: np.ndarray, ys: np.ndarray, taus: list,
     blocks, gamma = _interior_point(Zs, ys, np.asarray(taus)[:, None], rhs)
     # near the optimum, the p smallest |residuals| are the rows the
     # optimal vertex interpolates
-    Zb = _select(Zs, blocks)
+    Zb = Zs[blocks]
     resid = np.abs(ys[blocks] - _apply(Zb, gamma))
     rows = np.sort(np.argpartition(resid, p - 1, axis=1)[:, :p], axis=1)
     polished, a_hat, gamma_hat = _polish(Zb, ys[blocks], rhs[blocks], rows)
     generic = _interior(a_hat).sum(axis=1) == p
     certified = blocks[polished[generic]]
     return dict(zip(certified.tolist(), _fits(
-        _select(Zs, certified), ys[certified], [taus[b] for b in certified],
+        Zs[certified], ys[certified], [taus[b] for b in certified],
         a_hat[generic], gamma_hat[generic])))
 
 
@@ -268,11 +255,8 @@ def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
     """
     n, p = Zs.shape[1:]
     # row i of a design gives row i of its products, z_i z_i' flattened, so
-    # that each Z'DZ is one matrix-vector product; one design, one array
-    designs = Zs[:1] if Zs.strides[0] == 0 else Zs
-    products = np.broadcast_to(
-        (designs[..., :, None] * designs[..., None, :]).reshape(-1, n, p * p),
-        (len(Zs), n, p * p))
+    # that each Z'DZ is one matrix-vector product
+    products = (Zs[..., :, None] * Zs[..., None, :]).reshape(-1, n, p * p)
     x = np.repeat(1.0 - tau_col, n, axis=1)
     s = 1.0 - x
     v = -solve_regular(np.swapaxes(Zs, 1, 2) @ Zs, _times(ys, Zs))
@@ -332,9 +316,9 @@ def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
             gammas.append(-v[done])
             keep = ~done & np.isfinite(gap)
             if not keep.all():
-                Zs, products = _select(Zs, keep), _select(products, keep)
-                live, x, s, v, z, w, gap, rhs, tol = (
-                    t[keep] for t in (live, x, s, v, z, w, gap, rhs, tol))
+                Zs, products, live, x, s, v, z, w, gap, rhs, tol = (
+                    t[keep] for t in (Zs, products, live, x, s, v, z, w, gap,
+                                      rhs, tol))
     if not blocks:
         return np.zeros(0, dtype=int), np.zeros((0, p))
     return np.concatenate(blocks), np.concatenate(gammas)
@@ -356,28 +340,20 @@ def linprog(*args, **kwargs):
 
 def _block_diagonal(Z: np.ndarray, blocks: int):
     """scipy.sparse CSC form of the block-diagonal matrix with `blocks`
-    copies of Z'.
-
-    Column b*n + i holds the nonzero entries of row i of Z in constraint
-    rows b*p .. b*p + p - 1, the layout a dense Z' converts to.
-    """
-    from scipy.sparse import csc_matrix
-    n, p = Z.shape
-    nonzero = Z != 0.0
-    rows = np.nonzero(nonzero)[1]
-    data = np.tile(Z[nonzero], blocks)
-    indices = np.tile(rows, blocks) + np.repeat(p * np.arange(blocks), rows.size)
-    indptr = np.concatenate(([0], np.cumsum(np.tile(nonzero.sum(axis=1), blocks))))
-    return csc_matrix((data, indices, indptr), shape=(blocks * p, blocks * n))
+    copies of Z', without the zeros of Z."""
+    from scipy.sparse import csc_array, identity, kron
+    return kron(identity(blocks), csc_array(Z.T), format="csc")
 
 
 def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
                    col_sum: np.ndarray) -> list:
-    """One linprog call for the independent dual programs of one chunk."""
+    """One linprog call for the independent dual programs of one chunk,
+    each objective divided by a power of two at or above its max|y|."""
     n, p = Z.shape
     blocks = len(taus)
     rhs = (1.0 - np.asarray(taus)[:, None]) * col_sum
-    res = linprog(c=-ys.ravel(), A_eq=_block_diagonal(Z, blocks),
+    scale = _objective_scale(ys)[:, None]
+    res = linprog(c=-(ys / scale).ravel(), A_eq=_block_diagonal(Z, blocks),
                   b_eq=rhs.ravel(), bounds=(0.0, 1.0),
                   method="highs-ds", options=_HIGHS_OPTIONS)
     if res.status == 1:
@@ -386,6 +362,7 @@ def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
         raise Degenerate(f"LP solve failed at taus={taus}: {res.message}")
     a_hat = np.clip(res.x.reshape(blocks, n), 0.0, 1.0)
     gamma_hat = -np.asarray(res.eqlin.marginals, dtype=float).reshape(blocks, p)
+    gamma_hat *= scale
     # a block is generic when exactly p duals are interior: polish it
     # through those rows; every other block keeps its clipped simplex
     # vertex and multipliers
@@ -398,6 +375,13 @@ def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
     a_hat[generic[polished]] = a_exact
     gamma_hat[generic[polished]] = gamma_exact
     return _fits(stack, ys, taus, a_hat, gamma_hat)
+
+
+def _objective_scale(ys: np.ndarray) -> np.ndarray:
+    """The power of two at or above max|y| of each response row (1 for a
+    row of zeros): dividing by it leaves |y| < 1 and loses no bits short
+    of underflow."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(ys), axis=1))[1])
 
 
 def _polish(Zs: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
@@ -418,14 +402,14 @@ def _polish(Zs: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
     blocks, gamma = blocks[finite], gamma[finite]
 
     y = ys[blocks]
-    Zb = _select(Zs, blocks)
+    Zb = Zs[blocks]
     resid = y - _apply(Zb, gamma)
     sign_tol = 1e-9 * (1.0 + np.max(np.abs(y), axis=1, keepdims=True))
     at_one = resid > sign_tol
     free = ~(at_one | (resid < -sign_tol))
     square = free.sum(axis=1) == p
     blocks, gamma = blocks[square], gamma[square]
-    at_one, free, Zb = at_one[square], free[square], _select(Zb, square)
+    at_one, free, Zb = at_one[square], free[square], Zb[square]
 
     free_rows = np.nonzero(free)[1].reshape(-1, p)
     # Z[at_one].sum(axis=0) per block, summed over rows in the same order

@@ -17,12 +17,12 @@ of restricted fits at tau +/- h (Hall-Sheather bandwidth), floored at 0.01,
 and their reciprocals form the weighting of the projection. A dataset's
 3K restricted fits, at every tau and tau +/- h, are one stacked LP batch
 (:func:`~mqrank.qrsolver.fit_levels`); :func:`score_states` puts several
-datasets' fits in one batch over a stack of their designs, and each
-dataset's state has the same bits as alone. The density scale cancels in the
-projection, so only relative weights matter. Because the estimated
-weights differ across levels in finite samples, one projection is
-computed per level and the covariance scalar averages the
-per-level mean squares.
+datasets' fits in one batch, every design at every level, and each
+dataset's state has the same bits as alone, whatever the other designs.
+The density scale cancels in the projection, so only relative weights
+matter. Because the estimated weights differ across levels in finite
+samples, one projection is computed per level and the covariance scalar
+averages the per-level mean squares.
 
 Every subset's null law is v_bar times a mixture that depends only on the
 levels and the weighting, so :class:`SubsetPlan` works it out once per
@@ -136,16 +136,12 @@ def estimate_sparsity(Z: np.ndarray, y: np.ndarray, tau: float) -> SparsityEstim
     The density at observation i is 2h over the fitted quantile spread
     z_i'(gamma(tau+h) - gamma(tau-h)), guarded by a small epsilon in the
     denominator and floored at 0.01 so nonpositive spreads cannot produce
-    negative estimates. The fits at tau -/+ h are one :func:`fit_levels`
-    batch.
+    negative estimates: the one-dataset, one-level case of
+    :func:`fit_with_sparsity`.
     """
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    bands = _bandwidths(Z.shape[0], [tau])
-    [(h, _)] = bands
-    lo, hi = fit_levels(Z, [y, y], [tau - h, tau + h])
-    return _difference_quotients(Z[None], [tau], bands, lo.gamma_hat[None, None],
-                                 hi.gamma_hat[None, None])[0][0]
+    sparsity = fit_with_sparsity(np.asarray(Z, dtype=float)[None],
+                                 np.asarray(y, dtype=float)[None, None], [tau])[1]
+    return sparsity[0][0]
 
 
 def fit_with_sparsity(Zs: np.ndarray, ys, taus) -> tuple[list, list]:
@@ -153,10 +149,11 @@ def fit_with_sparsity(Zs: np.ndarray, ys, taus) -> tuple[list, list]:
     densities, for every dataset r and level j.
 
     Zs is an (R, n, p) stack of designs and ys an (R, K, n) array. All 3RK
-    programs (tau_j, tau_j - h_j, tau_j + h_j for each level of each
-    dataset) go to :func:`fit_levels` as one batch; each level's densities
-    are the difference quotient of :func:`estimate_sparsity`. Returns, per
-    dataset, its K fits at taus and its K :class:`SparsityEstimates`.
+    programs (each design at tau_j, tau_j - h_j and tau_j + h_j for every
+    level j) go to :func:`fit_levels` as one batch; each level's densities
+    are the floored difference quotients that :func:`estimate_sparsity`
+    describes. Returns, per dataset, its K fits at taus and its K
+    :class:`SparsityEstimates`.
     """
     Zs = np.asarray(Zs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -164,16 +161,10 @@ def fit_with_sparsity(Zs: np.ndarray, ys, taus) -> tuple[list, list]:
     k = len(taus)
     bands = _bandwidths(n, taus)
     levels = [t for tau, (h, _) in zip(taus, bands) for t in (tau, tau - h, tau + h)]
-    # one dataset's design is one (n, p) design, which fit_levels keeps as
-    # a broadcast view; several are one design per program
-    designs = Zs[0] if count == 1 else np.repeat(Zs, 3 * k, axis=0)
-    fits = fit_levels(designs, np.repeat(ys, 3, axis=1).reshape(-1, n),
-                      levels * count)
-    fits = [fits[r * 3 * k:(r + 1) * 3 * k] for r in range(count)]
-    gammas = np.array([[qfit.gamma_hat for qfit in row] for row in fits])
-    gammas = gammas.reshape(count, k, 3, p)
+    fits = fit_levels(Zs, np.repeat(ys, 3, axis=1), levels)
+    gammas = np.array([qfit.gamma_hat for qfit in fits]).reshape(count, k, 3, p)
     sparsity = _difference_quotients(Zs, taus, bands, gammas[:, :, 1], gammas[:, :, 2])
-    return [row[0::3] for row in fits], sparsity
+    return [fits[r * 3 * k:(r + 1) * 3 * k:3] for r in range(count)], sparsity
 
 
 def _bandwidths(n: int, taus) -> list:
@@ -433,6 +424,15 @@ class WeightingMatrix:
                 return WeightingMatrix.density_reciprocal("t", float(parts[2]))
             raise ValueError(f"unknown density weighting {text!r}")
         raise ValueError(f"unknown weighting {text!r}")
+
+    @property
+    def name(self) -> str:
+        """The name :meth:`parse` reads, degrees of freedom in ``:g`` form;
+        "custom" for an explicit matrix."""
+        if self.kind == "density":
+            df = "" if self.family.df is None else f":{self.family.df:g}"
+            return f"density:{self.family.name}{df}"
+        return self.kind
 
     def materialize(self, taus, subset: HypothesisSubset) -> np.ndarray:
         """Unit-scale weighting matrix B_c for one subset of hypotheses."""

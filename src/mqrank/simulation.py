@@ -24,13 +24,13 @@ A range runs in chunks of at most _CHUNK replications. A chunk is one
 pass: its datasets' score states are one
 :func:`~mqrank.rankscore.score_states` batch and their Wald fits one
 :func:`wald_covariances` batch, each one
-:func:`~mqrank.qrsolver.fit_levels` call over a stack of designs, and
-every decision is an array operation over the chunk's rows. Each fit,
-product and solve in a pass is a row's own call, so a replication gets
-the same bits in any chunk. When a pass raises, its chunk is replayed one
-replication at a time, so each failure is that of its own replication,
-with its class and message, and the report is the same bits for any
-chunk length.
+:func:`~mqrank.qrsolver.fit_levels` call with every dataset's design at
+every level, and every decision is an array operation over the chunk's
+rows. Each fit, product and solve in a pass is a row's own call, so a
+replication gets the same bits in any chunk. When a pass raises, its
+chunk is replayed one replication at a time, so each failure is that of
+its own replication, with its class and message, and the report is the
+same bits for any chunk length.
 """
 
 from __future__ import annotations
@@ -280,15 +280,6 @@ class MonteCarloReport:
         return rows
 
 
-def _weighting_name(w: WeightingMatrix) -> str:
-    if w.kind == "density":
-        suffix = f":{w.family.name}"
-        if w.family.df is not None:
-            suffix += f":{w.family.df:g}"
-        return "density" + suffix
-    return w.kind
-
-
 @dataclass(frozen=True)
 class _Job:
     """What every replication of one run shares, built once per run."""
@@ -301,7 +292,6 @@ class _Job:
     closed: bool
     singles: tuple
     wald: bool
-    subsets: tuple
 
 
 def _replicate(job: _Job, reps: range) -> list:
@@ -454,7 +444,7 @@ def run_monte_carlo(scenario: Scenario,
 
     weightings = tuple(
         WeightingMatrix.parse(w) if isinstance(w, str) else w for w in weightings)
-    w_names = tuple(_weighting_name(w) for w in weightings)
+    w_names = tuple(w.name for w in weightings)
     if len(set(w_names)) != len(w_names):
         raise ValueError(f"duplicate weighting names in {w_names}")
     spec = validate_spec(QuantileSpec(scenario.taus))
@@ -464,8 +454,7 @@ def run_monte_carlo(scenario: Scenario,
         tests=tuple((name, plan, plan.critical_values(alpha))
                     for name, plan in zip(w_names, plans)),
         closed="closed" in methods, wald="wald" in methods,
-        singles=tuple(m for m in _SINGLE_LEVEL if m in methods),
-        subsets=tuple(all_subsets(len(spec.taus))))
+        singles=tuple(m for m in _SINGLE_LEVEL if m in methods))
 
     reps = scenario.replications
     workers = _worker_count(reps)
@@ -481,7 +470,8 @@ def run_monte_carlo(scenario: Scenario,
                   for m in [f"closed:{w}" for w in w_names if job.closed]
                   + list(job.singles) + wald}
     fw_counts = dict.fromkeys(hyp_counts, 0)
-    subset_counts = {t: np.zeros(len(job.subsets), dtype=int)
+    subsets = all_subsets(len(spec.taus))
+    subset_counts = {t: np.zeros(len(subsets), dtype=int)
                      for t in [f"rankscore:{w}" for w in w_names] + wald}
     used = 0
     error_messages = []
@@ -514,7 +504,7 @@ def run_monte_carlo(scenario: Scenario,
                                for name, counts in hyp_counts.items()},
         familywise={name: c / denom for name, c in fw_counts.items()},
         subset_rejections={
-            name: {sub: c / denom for sub, c in zip(job.subsets, counts)}
+            name: {sub: c / denom for sub, c in zip(subsets, counts)}
             for name, counts in subset_counts.items()})
 
 

@@ -317,9 +317,16 @@ def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
             assert np.max(np.abs(got.gamma_hat + ref.eqlin.marginals)) <= 1e-9
 
 
+def scaled(y):
+    """y divided by the power of two that the stacked simplex solve
+    divides its objective by."""
+    return y / qrsolver._objective_scale(y[None])[0]
+
+
 def one_level_vertex(Z, y, tau):
-    """Simplex vertex and equality multipliers of one level's dual LP."""
-    res = linprog(c=-y, A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
+    """Simplex vertex and equality multipliers of one level's dual LP, on
+    the scaled response as in a stacked solve."""
+    res = linprog(c=-scaled(y), A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
                   bounds=(0.0, 1.0), method="highs-ds",
                   options=qrsolver._HIGHS_OPTIONS)
     return res.x, res.eqlin.marginals
@@ -327,8 +334,8 @@ def one_level_vertex(Z, y, tau):
 
 def report_vertices(monkeypatch, Z, vertices):
     """Have linprog report vertices[key] = (x, marginals) as the solution
-    of every block whose response has bytes `key`; record each block's
-    reported x."""
+    of every block whose scaled response (-c) has bytes `key`; record each
+    block's reported x under the same key."""
     n, p = Z.shape
     reported = {}
     real = qrsolver.linprog
@@ -379,10 +386,10 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
     low = [np.argmin(np.where(z == v, y_out, np.inf)) for v in np.unique(z)[:2]]
     outside = np.where(y_out > np.median(y_out), 1.0, 0.0)
     outside[low] = 0.5
-    vertices = {y.tobytes(): one_level_vertex(Z, y, tau)
+    vertices = {scaled(y).tobytes(): one_level_vertex(Z, y, tau)
                 for y, tau, kind in zip(ys, taus, kinds) if kind != "generic"}
-    vertices[ys[1].tobytes()] = (singular, vertices[ys[1].tobytes()][1])
-    vertices[y_out.tobytes()] = (outside, vertices[y_out.tobytes()][1])
+    for y, x in ((ys[1], singular), (y_out, outside)):
+        vertices[scaled(y).tobytes()] = (x, vertices[scaled(y).tobytes()][1])
     reported = report_vertices(monkeypatch, Z, vertices)
     fits = fit_levels(Z, ys, taus)
     tol = qrsolver._BOUND_TOL
@@ -396,7 +403,7 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
     assert np.sum(at_one) == n - p and np.any((a_free < 0.0) | (a_free > 1.0))
 
     for qfit, y, tau, kind in zip(fits, ys, taus, kinds):
-        x = reported[y.tobytes()]
+        x = reported[scaled(y).tobytes()]
         interior = np.flatnonzero((x > tol) & (x < 1.0 - tol))
         assert (interior.size == p) == (kind != "no interior")
         if kind == "singular":
@@ -449,6 +456,26 @@ def test_fit_levels_equals_the_simplex_path_bit_for_bit(seed, n, p, taus):
     want = qrsolver._solve_stacked(Z, ys, taus, Z.sum(axis=0))
     for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
         assert_same_fit(got, ref)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+def test_fit_levels_on_tied_responses_at_a_large_scale(scale):
+    # HiGHS fails ("Status 0: Not Set") on objectives of order 1e6 and
+    # beyond; with each objective divided by a power of two at or above its
+    # max|y|, tied responses at any scale give feasible optimal vertices,
+    # whose losses are those at unit scale times the scale
+    rng = np.random.default_rng(53)
+    taus = [0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98]
+    n, p = 50, 3
+    for trial in range(40):
+        Z, _ = random_instance(rng, n, p)
+        ys = rng.integers(0, 5, (len(taus), n)).astype(float)
+        unit = fit_levels(Z, ys, taus)
+        for qfit, ref, tau in zip(fit_levels(Z, scale * ys, taus), unit, taus):
+            assert qfit.objective == pytest.approx(scale * ref.objective, rel=1e-9)
+            a = qfit.a_hat
+            assert np.linalg.norm(Z.T @ a - (1 - tau) * Z.sum(axis=0)) / n <= 1e-8
+            assert np.sum((a > 1e-8) & (a < 1 - 1e-8)) <= p
 
 
 def hard_instance(kind):
@@ -507,17 +534,16 @@ def design_stack(rng, n, p, designs):
        taus=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6))
 def test_fit_levels_on_a_design_stack_equals_per_design_calls(seed, n, p,
                                                              designs, taus):
-    # each design's blocks, one run of consecutive blocks, give the bits of
-    # one fit_levels call on that design alone; every other block has
-    # tied three-level responses, which the certificate may leave to the
-    # simplex, where a design's blocks are still one stacked solve
+    # each design's blocks give the bits of one fit_levels call on that
+    # design alone; every other block has tied three-level responses, which
+    # the certificate may leave to the simplex, where a design's blocks are
+    # still one stacked solve
     rng = np.random.default_rng(seed)
     Zs = design_stack(rng, n, p, designs)
     ys = [np.array([rng.integers(0, 3, n).astype(float) if b % 2
                     else Z @ rng.standard_normal(p) + rng.standard_normal(n)
                     for b in range(len(taus))]) for Z in Zs]
-    stack = np.repeat(np.array(Zs), len(taus), axis=0)
-    got = fit_levels(stack, np.concatenate(ys), taus * designs)
+    got = fit_levels(np.array(Zs), np.array(ys), taus)
     want = [qfit for Z, y in zip(Zs, ys) for qfit in fit_levels(Z, y, taus)]
     for g, w in zip(got, want, strict=True):
         assert_same_fit(g, w)
@@ -534,7 +560,7 @@ def test_fallback_blocks_share_one_simplex_solve_per_design(monkeypatch):
                    for Z in Zs for _ in taus])
     simplex_only(monkeypatch)
     calls = count_linprog_calls(monkeypatch)
-    fits = fit_levels(np.repeat(np.array(Zs), len(taus), axis=0), ys, taus * 3)
+    fits = fit_levels(np.array(Zs), ys.reshape(3, len(taus), n), taus)
     assert calls == [(2 * len(taus), n * len(taus))] * 3
     for g, Z in enumerate(Zs):
         want = fit_levels(Z, ys[3 * g:3 * g + 3], taus)
@@ -549,7 +575,7 @@ def test_fit_levels_on_a_stack_with_a_rank_deficient_design_raises(monkeypatch):
     deficient[:, 2] = 2 * deficient[:, 1]
     calls = count_linprog_calls(monkeypatch)
     with pytest.raises(Degenerate, match="rank deficient"):
-        fit_levels(np.array([Z, Z, deficient, Z]), [y] * 4, [0.25, 0.75] * 2)
+        fit_levels(np.array([Z, Z, deficient, Z]), [[y, y]] * 4, [0.25, 0.75])
     assert calls == []
 
 
@@ -557,4 +583,4 @@ def test_fit_levels_rejects_a_stack_of_the_wrong_length():
     rng = np.random.default_rng(2)
     Z, y = random_instance(rng, 20, 2)
     with pytest.raises(ValueError, match="one per level"):
-        fit_levels(np.array([Z, Z]), [y, y, y], [0.25, 0.5, 0.75])
+        fit_levels(np.array([Z, Z]), [[y, y, y]] * 3, [0.25, 0.5, 0.75])

@@ -223,9 +223,14 @@ def test_score_state_fits_equal_per_level_solves(n, taus):
 
 def test_score_states_of_a_batch_equal_one_dataset_states():
     # a dataset's state has the same bits in any batch, clipped bandwidths
-    # and nonzero null values included
+    # and nonzero null values included; so has each of several datasets
+    # that share one design and have tied four-level responses, whose
+    # programs the simplex fallback solves
     rng = np.random.default_rng(47)
     datasets = [make_dataset(rng, n=40, beta=0.3, scale="hetero") for _ in range(7)]
+    datasets += [Dataset(y=rng.integers(0, 4, 40).astype(float),
+                         x=rng.standard_normal(40), Z=datasets[0].Z)
+                 for _ in range(4)]
     spec = QuantileSpec((0.02, 0.3, 0.6, 0.9), null_values=(0.1, -0.2, 0.0, 0.3))
     with pytest.warns(RuntimeWarning, match="clipped"):
         states = score_states(datasets, spec)
@@ -608,6 +613,14 @@ def test_weighting_parse_round_trip():
         WeightingMatrix.parse("density:cauchy")
     with pytest.raises(ValueError):
         WeightingMatrix.parse("nonsense")
+
+
+@pytest.mark.parametrize("text", ["identity", "inverse", "diag-delta",
+                                  "density:normal", "density:t:3.5"])
+def test_weighting_name_round_trips_through_parse(text):
+    w = WeightingMatrix.parse(text)
+    assert w.name == text
+    assert WeightingMatrix.parse(w.name) == w
 
 
 def test_weighting_materialization():
