@@ -170,6 +170,8 @@ class WeightedChiSquareMixture:
         z = (0.0,) * len(w) if z is None else tuple(float(v) for v in np.atleast_1d(z))
         if len(w) != len(z):
             raise ValueError("weights and noncentralities must have equal length")
+        if not np.isfinite(w + z).all():
+            raise ValueError("mixture weights and noncentralities must be finite")
         if any(v <= 0.0 for v in w):
             raise ValueError("mixture weights must be strictly positive")
         if any(v < 0.0 for v in z):

@@ -40,33 +40,29 @@ no scipy.
 
 Second, every block the certificate rejects (tied responses that leave
 more than p zero residuals, a degenerate vertex, a block that did not
-converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex. The
-rejected blocks of each design are stacked into one LP whose constraint
-matrix is block-diagonal in Z' and solved with one ``linprog`` call per
-chunk of at most _MAX_COLUMNS observations, which bounds the solver's
-working memory. So each design gets the fits of a call on that design
-alone, whatever the other designs of the batch. HiGHS fails on
-objectives of order 1e6 and beyond, so each block's objective is divided
-by a power of two at or above its max|y| (no bits lost) and its
-multipliers are multiplied back by it. The generic blocks of a solve
-(exactly p interior duals) go through the same polish, on the unscaled
-response. A vertex of the stacked polytope is a vertex of every block;
-with tied responses a block may have several optimal vertices and the
-stacked solve may pick a different, equally optimal one than a one-level
-solve. :func:`fit` is the one-design, one-level batch.
+converge within _MAX_ITERATIONS) goes to HiGHS's dual simplex, one
+``linprog`` call per block on its own program: constraint matrix Z' and
+that block's right-hand side. HiGHS fails on objectives of order 1e6 and
+beyond, so the objective is divided by a power of two at or above max|y|
+(no bits lost) and the multipliers are multiplied back by it. A generic
+vertex (exactly p interior duals) goes through the same polish, on the
+unscaled response. So every fit depends only on its own design, response
+and level, ties included: with tied responses a program may have several
+optimal vertices, and the simplex picks one from that program alone.
+:func:`fit` is the one-design, one-level batch.
 
-HiGHS presolve is off. Each block is already in reduced form (box bounds
-[0, 1], p independent equality rows, no empty or duplicate row), so
+HiGHS presolve is off. Each program is already in reduced form (box
+bounds [0, 1], p independent equality rows, no empty or duplicate row), so
 presolve finds nothing to remove and only adds work: over the 200 stacked
-solves of a 100-replication K = 5 Monte Carlo run, HiGHS's own time fell
-from 0.38 s to 0.15 s (2-core x86), with bit-identical fits.
+simplex solves of a 100-replication K = 5 Monte Carlo run, before the
+interior point took them over, HiGHS's own time fell from 0.38 s to
+0.15 s (2-core x86), with bit-identical fits.
 
-``scipy.optimize`` and ``scipy.sparse`` are imported only when a block
-reaches the simplex stage: together they cost about 0.1 s, a third of a
-CLI call, and on continuous data no block does. The module-level
-``linprog`` is a thin function that imports scipy's ``linprog`` on its
-first call and forwards to it, so it stays one module attribute that
-callers can replace.
+``scipy.optimize`` is imported only when a block reaches the simplex
+stage: it costs about 0.1 s, a third of a CLI call, and on continuous data
+no block does. The module-level ``linprog`` is a thin function that
+imports scipy's ``linprog`` on its first call and forwards to it, so it
+stays one module attribute that callers can replace.
 """
 
 from __future__ import annotations
@@ -80,10 +76,6 @@ from .exceptions import Degenerate, NotConverged
 # entries of a within this distance of 0/1 are treated as at their bound
 _BOUND_TOL = 1e-8
 
-# stacked observations (LP columns) per linprog call; HiGHS holds about
-# 0.8 kB per column, so one call stays near 1.6 MB
-_MAX_COLUMNS = 2048
-
 # stacked observations per interior-point batch; a batch peaks at about
 # 250 B per column for p = 2 and 340 B for p = 3 (state, directions and the
 # flattened z_i z_i' products of its designs), so near 4-6 MB
@@ -96,8 +88,8 @@ _GAP_TOL = 1e-8
 _MAX_ITERATIONS = 50
 _STEP = 0.99995
 
-# fixed solver settings; presolve cannot shrink a block-diagonal dual LP
-# (see the module docstring), so it is skipped
+# fixed solver settings; presolve cannot shrink a dual program (see the
+# module docstring), so it is skipped
 _HIGHS_OPTIONS = {
     "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
@@ -158,12 +150,13 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
     Z is one (n, p) design with ys of shape (M, n), or an (R, n, p) stack
     of designs with ys of shape (R, M, n), for M = len(taus) levels. Each
     chunk of at most _MAX_IPM_COLUMNS stacked observations goes through
-    the batched interior point and its vertex certificate. The blocks left
-    uncertified go to stacked simplex solves of at most _MAX_COLUMNS
-    observations each, one design at a time (see the module docstring).
-    Levels, shapes, n > p and the rank of each design are checked once,
-    before any solve. Returns one :class:`QuantileFit` per block,
-    design-major: the fit of ys[r][j] is at r * M + j.
+    the batched interior point and its vertex certificate. Each block left
+    uncertified is one simplex solve of its own program (see the module
+    docstring), so every fit depends only on its own design, response and
+    level, whatever else the batch holds. Levels, shapes, n > p and the
+    rank of each design are checked once, before any solve. Returns one
+    :class:`QuantileFit` per block, design-major: the fit of ys[r][j] is
+    at r * M + j.
 
     Raises
     ------
@@ -171,10 +164,10 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
         If any level lies outside (0, 1), or Z, ys and taus disagree in
         shape.
     Degenerate
-        If n <= p, a design is rank deficient or a stacked simplex solve
-        fails structurally.
+        If n <= p, a design is rank deficient or a simplex solve fails
+        structurally.
     NotConverged
-        If a stacked simplex solve stops on its iteration cap.
+        If a simplex solve stops on its iteration cap.
     """
     Z = np.asarray(Z, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -198,8 +191,8 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
 
     ys = ys.reshape(-1, n)
     block_taus = taus * count
-    col_sum = designs.sum(axis=1)
-    rhs = ((1.0 - np.asarray(taus)[:, None]) * col_sum[:, None]).reshape(-1, p)
+    rhs = ((1.0 - np.asarray(taus)[:, None])
+           * designs.sum(axis=1)[:, None]).reshape(-1, p)
     blocks = len(block_taus)
     fits = {}
     # near-equal chunks of at most _MAX_IPM_COLUMNS observations each
@@ -209,14 +202,8 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
         fits.update((lo + b, qfit) for b, qfit in _certified_fits(
             designs[np.arange(lo, hi) // levels], ys[lo:hi], block_taus[lo:hi],
             rhs[lo:hi]).items())
-    per_call = max(1, _MAX_COLUMNS // n)
-    for r in range(count):
-        rest = [b for b in range(r * levels, (r + 1) * levels) if b not in fits]
-        for lo in range(0, len(rest), per_call):
-            chunk = rest[lo:lo + per_call]
-            fits.update(zip(chunk, _solve_stacked(
-                designs[r], ys[chunk], [block_taus[b] for b in chunk], col_sum[r])))
-    return [fits[b] for b in range(blocks)]
+    return [fits[b] if b in fits else _solve_simplex(
+        designs[b // levels], ys[b], block_taus[b], rhs[b]) for b in range(blocks)]
 
 
 def _certified_fits(Zs: np.ndarray, ys: np.ndarray, taus: list,
@@ -338,50 +325,34 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _block_diagonal(Z: np.ndarray, blocks: int):
-    """scipy.sparse CSC form of the block-diagonal matrix with `blocks`
-    copies of Z', without the zeros of Z."""
-    from scipy.sparse import csc_array, identity, kron
-    return kron(identity(blocks), csc_array(Z.T), format="csc")
-
-
-def _solve_stacked(Z: np.ndarray, ys: np.ndarray, taus: list,
-                   col_sum: np.ndarray) -> list:
-    """One linprog call for the independent dual programs of one chunk,
-    each objective divided by a power of two at or above its max|y|."""
-    n, p = Z.shape
-    blocks = len(taus)
-    rhs = (1.0 - np.asarray(taus)[:, None]) * col_sum
-    scale = _objective_scale(ys)[:, None]
-    res = linprog(c=-(ys / scale).ravel(), A_eq=_block_diagonal(Z, blocks),
-                  b_eq=rhs.ravel(), bounds=(0.0, 1.0),
+def _solve_simplex(Z: np.ndarray, y: np.ndarray, tau: float,
+                   rhs: np.ndarray) -> QuantileFit:
+    """One linprog call for one dual program, its objective divided by a
+    power of two at or above max|y|."""
+    scale = _objective_scale(y)
+    res = linprog(c=-y / scale, A_eq=Z.T, b_eq=rhs, bounds=(0.0, 1.0),
                   method="highs-ds", options=_HIGHS_OPTIONS)
     if res.status == 1:
-        raise NotConverged(f"simplex iteration cap reached at taus={taus}")
+        raise NotConverged(f"simplex iteration cap reached at tau={tau}")
     if not res.success:
-        raise Degenerate(f"LP solve failed at taus={taus}: {res.message}")
-    a_hat = np.clip(res.x.reshape(blocks, n), 0.0, 1.0)
-    gamma_hat = -np.asarray(res.eqlin.marginals, dtype=float).reshape(blocks, p)
-    gamma_hat *= scale
-    # a block is generic when exactly p duals are interior: polish it
-    # through those rows; every other block keeps its clipped simplex
-    # vertex and multipliers
-    interior = _interior(a_hat)
-    generic = np.flatnonzero(interior.sum(axis=1) == p)
-    rows = np.nonzero(interior[generic])[1].reshape(-1, p)
-    stack = np.broadcast_to(Z, (blocks, n, p))
-    polished, a_exact, gamma_exact = _polish(stack[:generic.size], ys[generic],
-                                             rhs[generic], rows)
-    a_hat[generic[polished]] = a_exact
-    gamma_hat[generic[polished]] = gamma_exact
-    return _fits(stack, ys, taus, a_hat, gamma_hat)
+        raise Degenerate(f"LP solve failed at tau={tau}: {res.message}")
+    a_hat = np.clip(res.x, 0.0, 1.0)
+    gamma_hat = -np.asarray(res.eqlin.marginals, dtype=float) * scale
+    # a generic vertex (exactly p interior duals) is polished through
+    # those rows; any other keeps its clipped simplex vertex and multipliers
+    interior = np.flatnonzero(_interior(a_hat))
+    if interior.size == Z.shape[1]:
+        polished, a_exact, gamma_exact = _polish(Z[None], y[None], rhs[None],
+                                                 interior[None])
+        if polished.size:
+            a_hat, gamma_hat = a_exact[0], gamma_exact[0]
+    return _fits(Z[None], y[None], [tau], a_hat[None], gamma_hat[None])[0]
 
 
-def _objective_scale(ys: np.ndarray) -> np.ndarray:
-    """The power of two at or above max|y| of each response row (1 for a
-    row of zeros): dividing by it leaves |y| < 1 and loses no bits short
-    of underflow."""
-    return np.ldexp(1.0, np.frexp(np.max(np.abs(ys), axis=1))[1])
+def _objective_scale(y: np.ndarray) -> float:
+    """The power of two at or above max|y| (1 for zeros): dividing by it
+    leaves |y| < 1 and loses no bits short of underflow."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(y)))[1])
 
 
 def _polish(Zs: np.ndarray, ys: np.ndarray, rhs: np.ndarray, rows: np.ndarray):

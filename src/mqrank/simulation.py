@@ -95,6 +95,8 @@ class Scenario:
             raise ValueError("scenario needs at least one replication")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("correlation must lie in (-1, 1)")
+        if not np.isfinite([self.beta, self.gamma]).all():
+            raise ValueError("beta and gamma must be finite")
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
         object.__setattr__(self, "seed", int(self.seed) % 2 ** 64)
 

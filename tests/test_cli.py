@@ -275,6 +275,15 @@ def test_cmd_simulate_unknown_dgp(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["beta = nan", "gamma = inf"])
+def test_cmd_simulate_non_finite_parameter_exit_2(tmp_path, capsys, line):
+    path = tmp_path / "bad.scenario"
+    path.write_text(f"dgp = null_normal\n{line}\nreplications = 3\n")
+    code = run_cli("simulate", "--scenario", str(path))
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cmd_simulate_unknown_name(capsys):
     assert run_cli("simulate", "--scenario", "no_such_scenario") == 2
 

@@ -320,6 +320,13 @@ def test_mixture_validation():
         WeightedChiSquareMixture(weights=(1.0,), noncentralities=(-1.0,))
     with pytest.raises(ValueError):
         WeightedChiSquareMixture(weights=(1.0, 2.0), noncentralities=(0.0,))
+    for weights, noncentralities in (((float("nan"),), None),
+                                     ((float("inf"), 1.0), None),
+                                     ((1.0,), (float("nan"),)),
+                                     ((1.0, 2.0), (0.0, float("inf")))):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedChiSquareMixture(weights=weights,
+                                     noncentralities=noncentralities)
     with pytest.raises(ValueError):
         mixture_quantile(WeightedChiSquareMixture(weights=(1.0,)), 1.5)
 

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 import mqrank.qrsolver as qrsolver
 from mqrank import Degenerate, NotConverged, fit, fit_levels, rank_score_function
@@ -158,7 +156,7 @@ def test_quantile_loss_formula():
     assert quantile_loss(np.zeros(3), 0.7) == 0.0
 
 
-# --- stacked solves -------------------------------------------------------------
+# --- batches and the simplex fallback ----------------------------------------------
 
 def assert_same_fit(got, want):
     assert got.tau == want.tau
@@ -182,19 +180,14 @@ def count_linprog_calls(monkeypatch):
 
 def simplex_only(monkeypatch):
     """Give the interior point no step: no block converges, so every block
-    goes to the stacked simplex solve."""
+    goes to the simplex."""
     monkeypatch.setattr(qrsolver, "_MAX_ITERATIONS", 0)
 
 
-def test_block_diagonal_matches_scipy_layout():
-    # zeros in Z (dummy columns) are left out, as a dense Z' converts
-    rng = np.random.default_rng(11)
-    Z = np.column_stack([np.ones(9), rng.integers(0, 2, 9), rng.standard_normal(9)])
-    got = qrsolver._block_diagonal(Z, 4)
-    want = csc_array(block_diag(*[Z.T] * 4))
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
-    assert got.shape == want.shape
+def simplex_path(Z, ys, taus):
+    """The one-program simplex solve of every level, block by block."""
+    return [qrsolver._solve_simplex(Z, y, tau, (1.0 - tau) * Z.sum(axis=0))
+            for y, tau in zip(ys, taus)]
 
 
 def test_fit_levels_equals_per_level_fits_on_continuous_data():
@@ -207,7 +200,9 @@ def test_fit_levels_equals_per_level_fits_on_continuous_data():
 
 
 def test_fit_levels_column_cap_splits_batch(monkeypatch):
-    # 27 blocks of 400 observations: 5 blocks per simplex call under the cap
+    # 27 blocks of 400 observations: no simplex call holds more than one
+    # block, so the batch splits into one (p, n) call per block, and each
+    # fit is that of a call at its level alone
     rng = np.random.default_rng(19)
     Z, y = random_instance(rng, 400, 2)
     taus = [float(t) for t in rng.uniform(0.05, 0.95, 27)]
@@ -215,10 +210,7 @@ def test_fit_levels_column_cap_splits_batch(monkeypatch):
     simplex_only(monkeypatch)
     calls = count_linprog_calls(monkeypatch)
     fits = fit_levels(Z, ys, taus)
-    per_call = qrsolver._MAX_COLUMNS // 400
-    assert len(calls) == -(-27 // per_call)
-    assert all(cols <= qrsolver._MAX_COLUMNS for _, cols in calls)
-    assert sum(cols for _, cols in calls) == 27 * 400
+    assert calls == [(2, 400)] * 27
     for got, y_i, tau in zip(fits, ys, taus):
         assert_same_fit(got, fit(Z, y_i, tau))
 
@@ -240,6 +232,9 @@ def test_fit_levels_on_tied_responses_is_an_optimal_vertex():
             resid = Z.T @ a - (1 - tau) * Z.sum(axis=0)
             assert np.linalg.norm(resid) / n <= 1e-8
             assert np.sum((a > 1e-8) & (a < 1 - 1e-8)) <= p
+            # the vertex is the one its own program gives, whatever else
+            # the batch holds
+            assert_same_fit(qfit, fit(Z, y, tau))
 
 
 def test_fit_levels_bad_tau_raises_before_any_solve(monkeypatch):
@@ -266,32 +261,45 @@ def test_fit_levels_rank_deficient_design_raises():
 @pytest.mark.parametrize("status, error", [(1, NotConverged), (2, Degenerate),
                                            (4, Degenerate)])
 def test_failed_stacked_solve_names_its_levels(monkeypatch, status, error):
-    # blocks reach the stacked simplex when the certificate rejects them:
-    # tied responses on a dummy design leave more than p zero residuals.
-    # They also reach it when the interior point takes no step.
+    # blocks reach the simplex when the certificate rejects them: tied
+    # responses on a dummy design leave more than p zero residuals. They
+    # also reach it when the interior point takes no step. The first failed
+    # solve raises, naming the level of its program's right-hand side.
     class Failed:
         success = False
         message = "solver says no"
 
     Failed.status = status
-    monkeypatch.setattr(qrsolver, "linprog", lambda *a, **k: Failed())
+    solved = []
+
+    def failed(*args, **kwargs):
+        solved.append(kwargs["b_eq"])
+        return Failed()
+
+    monkeypatch.setattr(qrsolver, "linprog", failed)
     rng = np.random.default_rng(3)
     Z, y = random_instance(rng, 25, 2)
     dummy = np.column_stack([np.ones(25), rng.integers(0, 2, 25)])
     tied = rng.integers(0, 3, 25).astype(float)
-    with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
-        fit_levels(dummy, [tied, tied, tied], [0.25, 0.5, 0.75])
-    simplex_only(monkeypatch)
-    with pytest.raises(error, match=r"0\.25, 0\.5, 0\.75"):
-        fit_levels(Z, [y, y, y], [0.25, 0.5, 0.75])
+    taus = [0.25, 0.5, 0.75]
+    for design, ys in ((dummy, [tied, tied, tied]), (Z, [y, y, y])):
+        if design is Z:
+            simplex_only(monkeypatch)
+        solved.clear()
+        with pytest.raises(error) as raised:
+            fit_levels(design, ys, taus)
+        assert len(solved) == 1
+        level, = [t for t in taus
+                  if np.array_equal(solved[0], (1.0 - t) * design.sum(axis=0))]
+        assert f"at tau={level}" in str(raised.value)
 
 
 @pytest.mark.parametrize("n", [30, 100, 400, 2500])
 def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
-    # the certified interior point and the stacked simplex solves (run
-    # without presolve) both end at a vertex; on continuous data each
-    # block's optimal vertex is unique, so an independent one-level solve
-    # with HiGHS's default options (presolve on) must land on it too
+    # the certified interior point and the simplex solves (run without
+    # presolve) both end at a vertex; on continuous data each block's
+    # optimal vertex is unique, so an independent one-level solve with
+    # HiGHS's default options (presolve on) must land on it too
     rng = np.random.default_rng(n)
     Z, _ = random_instance(rng, n, 3)
     taus = [0.1, 0.35, 0.5, 0.9]
@@ -302,8 +310,8 @@ def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
     assert calls == []
     simplex_only(monkeypatch)
     simplex_fits = fit_levels(Z, ys, taus)
-    # above the column cap every level is its own call
-    assert len(calls) == -(-len(taus) // max(1, qrsolver._MAX_COLUMNS // n))
+    # every level is its own call
+    assert len(calls) == len(taus)
     tol = qrsolver._BOUND_TOL
     for qfit, sfit, y, tau in zip(fits, simplex_fits, ys, taus):
         ref = linprog(c=-y, A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
@@ -318,38 +326,23 @@ def test_fit_levels_reaches_the_vertex_of_a_presolved_solve(monkeypatch, n):
 
 
 def scaled(y):
-    """y divided by the power of two that the stacked simplex solve
-    divides its objective by."""
-    return y / qrsolver._objective_scale(y[None])[0]
+    """y divided by the power of two that the simplex solve divides its
+    objective by."""
+    return y / qrsolver._objective_scale(y)
 
 
-def one_level_vertex(Z, y, tau):
-    """Simplex vertex and equality multipliers of one level's dual LP, on
-    the scaled response as in a stacked solve."""
-    res = linprog(c=-scaled(y), A_eq=Z.T, b_eq=(1.0 - tau) * Z.sum(axis=0),
-                  bounds=(0.0, 1.0), method="highs-ds",
-                  options=qrsolver._HIGHS_OPTIONS)
-    return res.x, res.eqlin.marginals
-
-
-def report_vertices(monkeypatch, Z, vertices):
-    """Have linprog report vertices[key] = (x, marginals) as the solution
-    of every block whose scaled response (-c) has bytes `key`; record each
-    block's reported x under the same key."""
-    n, p = Z.shape
+def report_vertices(monkeypatch, vertices):
+    """Have linprog report vertices[key] as the vertex of every program
+    whose scaled response (-c) has bytes `key`, with the solve's own
+    multipliers; record each program's reported vertex under its key."""
     reported = {}
     real = qrsolver.linprog
 
     def crafted(*args, **kwargs):
         res = real(*args, **kwargs)
-        x = res.x.reshape(-1, n)
-        marginals = res.eqlin.marginals.reshape(-1, p)
-        for b, y in enumerate(-kwargs["c"].reshape(-1, n)):
-            if y.tobytes() in vertices:
-                x[b], marginals[b] = vertices[y.tobytes()]
-            reported[y.tobytes()] = x[b].copy()
-        res.x = x.ravel()
-        res.eqlin.marginals = marginals.ravel()
+        key = (-kwargs["c"]).tobytes()
+        res.x = vertices.get(key, res.x)
+        reported[key] = res.x.copy()
         return res
 
     monkeypatch.setattr(qrsolver, "linprog", crafted)
@@ -363,11 +356,8 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
     # more than p rows at zero residual (tau 0.3); an interpolation system
     # made singular by two equal design rows; and a free-row solve that
     # leaves [0, 1]. The last two are crafted vertices, since an optimal
-    # simplex vertex reaches neither. Every block but the generic ones
-    # reports its vertex and multipliers, so that the stacked and the
-    # one-level solve polish the same input: with ties, a stacked solve may
-    # pick another, equally optimal vertex. The interior point takes no
-    # step, so every block, in the batch and alone, reaches the simplex.
+    # simplex vertex reaches neither. The interior point takes no step, so
+    # every block, in the batch and alone, reaches the simplex.
     simplex_only(monkeypatch)
     n, p = 12, 2
     rng = np.random.default_rng(1)
@@ -386,11 +376,8 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
     low = [np.argmin(np.where(z == v, y_out, np.inf)) for v in np.unique(z)[:2]]
     outside = np.where(y_out > np.median(y_out), 1.0, 0.0)
     outside[low] = 0.5
-    vertices = {scaled(y).tobytes(): one_level_vertex(Z, y, tau)
-                for y, tau, kind in zip(ys, taus, kinds) if kind != "generic"}
-    for y, x in ((ys[1], singular), (y_out, outside)):
-        vertices[scaled(y).tobytes()] = (x, vertices[scaled(y).tobytes()][1])
-    reported = report_vertices(monkeypatch, Z, vertices)
+    reported = report_vertices(monkeypatch, {scaled(ys[1]).tobytes(): singular,
+                                             scaled(y_out).tobytes(): outside})
     fits = fit_levels(Z, ys, taus)
     tol = qrsolver._BOUND_TOL
 
@@ -417,9 +404,8 @@ def test_mixed_batch_polishes_each_block_as_its_own_solve(monkeypatch):
 
 
 def test_fit_levels_without_interior_point_steps_is_the_simplex_path(monkeypatch):
-    # no block converges, so every block goes to the stacked simplex in the
-    # chunks the column cap makes: the same solves, ties included, as
-    # calling _solve_stacked chunk by chunk
+    # no block converges, so every block goes to the simplex: the same
+    # solves, ties included, as the one-program solve block by block
     rng = np.random.default_rng(29)
     n = 150
     Z, _ = random_instance(rng, n, 2)
@@ -427,11 +413,7 @@ def test_fit_levels_without_interior_point_steps_is_the_simplex_path(monkeypatch
     ys = np.array([rng.integers(0, 3, n).astype(float) if b % 2
                    else Z @ rng.standard_normal(2) + rng.standard_normal(n)
                    for b in range(len(taus))])
-    per_call = qrsolver._MAX_COLUMNS // n
-    want = []
-    for lo in range(0, len(taus), per_call):
-        want += qrsolver._solve_stacked(Z, ys[lo:lo + per_call],
-                                        taus[lo:lo + per_call], Z.sum(axis=0))
+    want = simplex_path(Z, ys, taus)
     simplex_only(monkeypatch)
     for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
         assert_same_fit(got, ref)
@@ -444,16 +426,16 @@ def test_fit_levels_without_interior_point_steps_is_the_simplex_path(monkeypatch
 @example(seed=0, n=20, p=1, taus=[0.5, 0.25, 0.3])
 def test_fit_levels_equals_the_simplex_path_bit_for_bit(seed, n, p, taus):
     # on continuous data each block's optimal vertex is unique: a block the
-    # certificate accepts gets the bits that the stacked simplex and its
-    # polish give, and any other block goes to that solve. With an
-    # intercept only and (1 - tau) n an integer, the optimal vertex has no
-    # interior dual and the simplex's multiplier is one of many optimal
-    # coefficients: the certificate must leave such a block to the simplex.
+    # certificate accepts gets the bits that the simplex and its polish
+    # give, and any other block goes to that solve. With an intercept only
+    # and (1 - tau) n an integer, the optimal vertex has no interior dual
+    # and the simplex's multiplier is one of many optimal coefficients: the
+    # certificate must leave such a block to the simplex.
     rng = np.random.default_rng(seed)
     Z, _ = random_instance(rng, n, p)
     ys = np.array([Z @ rng.standard_normal(p) + rng.standard_normal(n)
                    for _ in taus])
-    want = qrsolver._solve_stacked(Z, ys, taus, Z.sum(axis=0))
+    want = simplex_path(Z, ys, taus)
     for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
         assert_same_fit(got, ref)
 
@@ -509,13 +491,13 @@ def hard_instance(kind):
                                   "clipped bandwidth"])
 def test_fit_levels_equals_the_simplex_path_on_hard_inputs(monkeypatch, kind):
     # each block is either certified, and then bit-identical to the
-    # stacked simplex, or falls back to it; the certificate takes some
+    # simplex, or falls back to it; the certificate takes some
     Z, ys, taus = hard_instance(kind)
-    want = qrsolver._solve_stacked(Z, ys, taus, Z.sum(axis=0))
+    want = simplex_path(Z, ys, taus)
     calls = count_linprog_calls(monkeypatch)
     for got, ref in zip(fit_levels(Z, ys, taus), want, strict=True):
         assert_same_fit(got, ref)
-    assert sum(cols for _, cols in calls) < len(taus) * Z.shape[0]
+    assert len(calls) < len(taus)
 
 
 # --- stacks of designs -------------------------------------------------------------
@@ -536,8 +518,7 @@ def test_fit_levels_on_a_design_stack_equals_per_design_calls(seed, n, p,
                                                              designs, taus):
     # each design's blocks give the bits of one fit_levels call on that
     # design alone; every other block has tied three-level responses, which
-    # the certificate may leave to the simplex, where a design's blocks are
-    # still one stacked solve
+    # the certificate may leave to the simplex, one solve per block
     rng = np.random.default_rng(seed)
     Zs = design_stack(rng, n, p, designs)
     ys = [np.array([rng.integers(0, 3, n).astype(float) if b % 2
@@ -551,7 +532,8 @@ def test_fit_levels_on_a_design_stack_equals_per_design_calls(seed, n, p,
 
 def test_fallback_blocks_share_one_simplex_solve_per_design(monkeypatch):
     # with no interior-point step every block falls back: the blocks of
-    # each design are one linprog call, as in a call on that design alone
+    # each design are solved as in a call on that design alone, one
+    # linprog call per block on its own (p, n) program
     rng = np.random.default_rng(43)
     n = 60
     Zs = design_stack(rng, n, 2, 3)
@@ -561,7 +543,7 @@ def test_fallback_blocks_share_one_simplex_solve_per_design(monkeypatch):
     simplex_only(monkeypatch)
     calls = count_linprog_calls(monkeypatch)
     fits = fit_levels(np.array(Zs), ys.reshape(3, len(taus), n), taus)
-    assert calls == [(2 * len(taus), n * len(taus))] * 3
+    assert calls == [(2, n)] * (len(Zs) * len(taus))
     for g, Z in enumerate(Zs):
         want = fit_levels(Z, ys[3 * g:3 * g + 3], taus)
         for got, ref in zip(fits[3 * g:3 * g + 3], want, strict=True):

@@ -195,11 +195,10 @@ def test_score_intercept_only_matches_direct_formula():
 
 @pytest.mark.parametrize("n, taus", [
     (100, (0.1, 0.5, 0.9)),
-    # 27 programs of 400 observations: one interior-point batch, which the
-    # simplex's column cap would split
+    # 27 programs of 400 observations: one interior-point batch
     (400, tuple(np.round(np.arange(1, 10) / 10, 1))),
-    # every program is over both column caps: one interior-point batch per
-    # level
+    # two programs are over the interior point's column cap: one batch per
+    # program
     (10_000, (0.25, 0.5, 0.75)),
 ])
 def test_score_state_fits_equal_per_level_solves(n, taus):
@@ -245,6 +244,19 @@ def test_score_states_of_a_batch_equal_one_dataset_states():
             for field in ("a_hat", "gamma_hat", "f_hat", "gamma_lo", "gamma_hi"):
                 if hasattr(w, field):
                     assert np.array_equal(getattr(g, field), getattr(w, field))
+
+
+def test_score_entries_on_integer_responses_do_not_depend_on_the_other_levels():
+    # hypothesis j's entry comes from the fits at tau_j and tau_j +/- h
+    # alone: on integer responses, whose ties leave programs to the simplex
+    # fallback, testing more levels must not move it
+    ds = make_dataset(np.random.default_rng(2), n=100)
+    ds = Dataset(y=np.round(ds.y), x=ds.x, Z=ds.Z)
+    taus = (0.25, 0.5, 0.75)
+    full = score_state(ds, QuantileSpec(taus)).score
+    for subset in ((0.5,), (0.25, 0.5), (0.5, 0.75)):
+        got = score_state(ds, QuantileSpec(subset)).score
+        assert np.array_equal(got, full[[taus.index(t) for t in subset]])
 
 
 def test_score_states_rejects_datasets_of_different_shapes():

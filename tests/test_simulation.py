@@ -44,6 +44,10 @@ def test_scenario_validation():
         Scenario(dgp="null_normal", replications=0)
     with pytest.raises(ValueError):
         Scenario(dgp="null_normal", rho=1.0)
+    for field in ("beta", "gamma"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Scenario(dgp="null_normal", **{field: bad})
 
 
 def test_null_normal_moments():
