@@ -39,16 +39,17 @@ select the chi-square closed form.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, chdtrc, chndtr, ndtri, stdtrit
+from scipy.special import betaln, ndtri, stdtrit
 
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         subset_positions, validate, validate_spec)
-from .distributions import (_newton_quantiles, chisq_quantile, chisq_upper,
-                            upper_tails)
+from .distributions import (_EQUAL_WEIGHT_RTOL, _equal_weights,
+                            _newton_quantiles, chisq_upper, upper_tails)
 from .exceptions import (BandwidthInfeasible, NotPositiveDefinite, SingularA,
                          SingularProjection)
 from .qrsolver import _dots, fit_levels, rank_score_function
@@ -56,10 +57,6 @@ from .qrsolver import _dots, fit_levels, rank_score_function
 # floor and division guard for the difference-quotient density estimate
 _DENSITY_FLOOR = 0.01
 _DENOM_GUARD = 1e-8
-
-# relative spread below which mixture weights are treated as equal, making
-# the reference distribution an exactly scaled chi-square
-_EQUAL_WEIGHT_RTOL = 1e-9
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -168,17 +165,27 @@ def fit_with_sparsity(Zs: np.ndarray, ys, taus) -> tuple[list, list]:
 
 
 def _bandwidths(n: int, taus) -> list:
-    """bandwidth(n, tau) for each level, warning on behalf of the caller's
-    caller for each bandwidth that had to be clipped."""
+    """bandwidth(n, tau) for each level, warning for each bandwidth that had
+    to be clipped at the line of the first caller outside mqrank."""
     out = []
     for tau in taus:
         h, clipped = bandwidth(n, tau)
         if clipped:
             warnings.warn(
                 f"bandwidth at tau={tau} clipped to {h:.4g} to stay inside (0, 1)",
-                RuntimeWarning, stacklevel=3)
+                RuntimeWarning, stacklevel=_outside_stacklevel())
         out.append((h, clipped))
     return out
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel that makes a warning issued by this function's caller
+    name the first frame outside the mqrank package."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").split(".")[0] == __package__):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _difference_quotients(Zs: np.ndarray, taus, bands: list, gamma_lo: np.ndarray,
@@ -543,27 +550,6 @@ def mixture_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mixture(a, b)[0]
 
 
-def _equal_weights(lam: np.ndarray):
-    return lam[..., -1] - lam[..., 0] <= _EQUAL_WEIGHT_RTOL * lam[..., -1]
-
-
-def _size_tails(lam: np.ndarray, q: np.ndarray, zeta: np.ndarray = None) -> np.ndarray:
-    """P(sum_i lam_i chi2_1(zeta_i) > q) for each row of one subset size's
-    (C, m) weights, (C,) q and (C, m) zeta, central when zeta is None.
-    Rows with equal weights use the exact scaled chi-square; the others
-    take one :func:`upper_tails` call."""
-    equal = _equal_weights(lam)
-    out = np.empty(q.size)
-    x = q[equal] / lam[equal].mean(axis=1)
-    z = 0.0 if zeta is None else zeta[equal].sum(axis=1)
-    p = np.where(z == 0.0, chdtrc(lam.shape[1], x), 1.0 - chndtr(x, lam.shape[1], z))
-    out[equal] = np.where(x <= 0.0, 1.0, p)
-    if not equal.all():
-        out[~equal] = upper_tails(lam[~equal], q[~equal],
-                                  None if zeta is None else zeta[~equal])
-    return out
-
-
 def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
                           weighting: WeightingMatrix) -> TestOutcome:
     """Weighted score quadratic form with a weighted chi-square reference.
@@ -589,7 +575,7 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     else:
         reference = WeightedChiSquareRef(weights=tuple(weights))
     return TestOutcome(statistic=scale * q, reference=reference,
-                       p_value=float(_size_tails(lam[None], np.array([q]))[0]),
+                       p_value=float(upper_tails(lam[None], np.array([q]))[0]),
                        subset=subset)
 
 
@@ -665,27 +651,20 @@ class SubsetPlan:
     def p_values(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Null tail probability of every subset's statistic."""
         q = self.statistics(score, v_bar)
-        return np.concatenate([_size_tails(lam, q[rows])
+        return np.concatenate([upper_tails(lam, q[rows])
                                for rows, _, _, lam, _ in self._stacks])
 
     def critical_values(self, alpha: float) -> np.ndarray:
         """Unit-scale level-alpha critical value of every subset; subsets of
         one size with the same rounded mixture weights (mirror images) share
-        the quantile of the first of them. Equal weights give a scaled
-        chi-square quantile, and the other distinct rows of a size one
-        batched quantile solve."""
+        the quantile of the first of them. The distinct rows of a size are
+        one batched quantile solve."""
         out = []
         for _, _, _, lam, _ in self._stacks:
             _, first, inverse = np.unique(np.round(lam, 14), axis=0,
                                           return_index=True, return_inverse=True)
             rows = lam[first]
-            equal = _equal_weights(rows)
-            values = np.empty(rows.shape[0])
-            values[equal] = (rows[equal].mean(axis=1)
-                             * chisq_quantile(alpha, lam.shape[1]))
-            mixtures = rows[~equal]
-            values[~equal] = _newton_quantiles(mixtures, np.zeros_like(mixtures),
-                                               alpha)
+            values = _newton_quantiles(rows, np.zeros_like(rows), alpha)
             # the shape of the inverse index differs across numpy releases
             out.append(values[inverse.ravel()])
         return np.concatenate(out)
@@ -696,7 +675,7 @@ class SubsetPlan:
         g_unit = np.asarray(g, dtype=float) / np.sqrt(v_bar)
         crit = self.critical_values(alpha)
         return np.concatenate([
-            _size_tails(lam, crit[rows], (proj @ g_unit[pos][:, :, None])[:, :, 0] ** 2)
+            upper_tails(lam, crit[rows], (proj @ g_unit[pos][:, :, None])[:, :, 0] ** 2)
             for rows, pos, _, lam, proj in self._stacks]).tolist()
 
 

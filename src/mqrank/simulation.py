@@ -337,7 +337,7 @@ def _replicate(job: _Job, reps: range) -> list:
 
 def _run_range(job: _Job, reps: range):
     """The outcomes of the replications in ``reps``, in order, and the
-    warnings they raised as (category, message, filename, lineno).
+    warnings they raised as (category, message).
 
     An outcome is a replication's ``(rejected, local)`` decisions, the
     ``(class name, message)`` of a failure that ``job.on_error`` records,
@@ -370,8 +370,7 @@ def _run_range(job: _Job, reps: range):
                 else:
                     outcomes.append((type(exc).__name__,
                                      f"replication {chunk.start}: {exc}"))
-    return outcomes, [(w.category, str(w.message), w.filename, w.lineno)
-                      for w in caught]
+    return outcomes, [(w.category, str(w.message)) for w in caught]
 
 
 def _worker_count(replications: int) -> int:
@@ -462,10 +461,9 @@ def run_monte_carlo(scenario: Scenario,
     workers = _worker_count(reps)
     cuts = [reps * i // workers for i in range(workers + 1)]
     ranges = _run_ranges(job, list(map(range, cuts[:-1], cuts[1:])))
-    # each distinct warning once per run, whichever worker raised it
-    for category, message, filename, lineno in dict.fromkeys(
-            w for _, caught in ranges for w in caught):
-        warnings.warn_explicit(message, category, filename, lineno)
+    # each distinct warning once per run, at the caller's line
+    for category, message in dict.fromkeys(w for _, caught in ranges for w in caught):
+        warnings.warn(message, category, stacklevel=2)
 
     wald = ["wald"] if job.wald else []
     hyp_counts = {m: np.zeros(len(spec.taus), dtype=int)

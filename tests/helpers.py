@@ -108,11 +108,12 @@ def contour_rule_gaps(grid):
     x) triple: the N = 20 hyperbolic rule, clipped to [0, 1] and without
     the agreement check or the 1e-12 zero floor, against the certified
     Imhof quadrature."""
-    from mqrank.distributions import _certified_upper, _contour_tails
+    from mqrank.distributions import _certified_upper, _log_phi, _rule_sums
 
     gaps = []
     for lam, zet, x in grid:
-        tail = _contour_tails(lam[None], zet[None], np.array([x]))[0, -1]
+        log_phi = _log_phi(lam[None], zet[None], np.array([x]))
+        tail = _rule_sums(-np.expm1(log_phi))[0, -1]
         gaps.append(abs(min(max(tail, 0.0), 1.0)
                         - _certified_upper(lam, zet, x)))
     return np.array(gaps)

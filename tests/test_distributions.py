@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import chdtrc, chdtri
 from scipy.stats import chi2, ncx2
 
 import mqrank
@@ -241,24 +242,26 @@ def test_mixture_quantile_meets_alpha_property(weights, nc, level):
 
 
 def test_quantile_iterate_with_tail_equal_to_alpha_is_returned(monkeypatch):
-    # a tail flat at alpha on [2, 3], falling like exp(-2 x) elsewhere, with
-    # half its true density: from the start chdtri(1, alpha) = 3.84 the
-    # first Newton step lands inside the flat stretch, where the tail
-    # equals alpha exactly; that iterate is the quantile, and nothing is
-    # evaluated after it
+    # weights (1, 0.5) start at the moment-matched a chdtri(nu, alpha), with
+    # mean 1.5, variance 2.5, a = 2.5 / 3 and nu = 1.8. A tail flat at alpha
+    # on [start - 1.5, start - 0.5], falling like exp(-2 x) elsewhere, with
+    # half its true density: the first Newton step lands at start - 1,
+    # inside the flat stretch, where the tail equals alpha exactly; that
+    # iterate is the quantile, and nothing is evaluated after it
     alpha = 0.05
+    start = 2.5 / 3.0 * chdtri(1.8, alpha)
     seen = []
 
     def flat_at_alpha(lam, zet, x):
         seen.extend(x.tolist())
-        tail = alpha * np.exp(-2.0 * (np.minimum(x - 2.0, 0.0)
-                                      + np.maximum(x - 3.0, 0.0)))
+        tail = alpha * np.exp(-2.0 * (np.minimum(x - (start - 1.5), 0.0)
+                                      + np.maximum(x - (start - 0.5), 0.0)))
         return tail, np.where(tail == alpha, 0.0, tail)
 
     monkeypatch.setattr(distributions, "_tail_and_density", flat_at_alpha)
-    x = mixture_quantile(WeightedChiSquareMixture(weights=(1.0,)), alpha)
-    assert seen[0] == chisq_quantile(alpha, 1)
-    assert len(seen) == 2 and 2.0 < seen[1] < 3.0
+    x = mixture_quantile(WeightedChiSquareMixture(weights=(1.0, 0.5)), alpha)
+    assert seen[0] == start
+    assert len(seen) == 2 and start - 1.5 < seen[1] < start - 0.5
     assert x == seen[1]
 
 
@@ -311,6 +314,34 @@ def test_equal_weight_critical_values_below_the_tail_floor():
     power = analytic_power(taus, np.zeros(5), 1.0, WeightingMatrix.inverse(),
                            alpha=1e-15)
     assert max(abs(p / 1e-15 - 1.0) for p in power.values()) <= 1e-9
+
+
+def test_equal_weight_tails_and_quantiles_match_the_plan_bit_for_bit():
+    # the inverse weighting's mixture weights are equal, so each subset's
+    # law is a scaled chi-square: the one-row functions take the plan's
+    # closed form, deep tails and alpha below 1e-12 included
+    m = WeightedChiSquareMixture(weights=(1.0, 1.0, 1.0))
+    assert imhof_upper(m, 80.0) == chdtrc(3, 80.0) > 0.0
+    assert imhof_upper(m, 3.0) == chdtrc(3, 3.0)
+    assert mixture_quantile(m, 1e-15) == chdtri(3, 1e-15)
+    plan = SubsetPlan((0.1, 0.25, 0.5, 0.75, 0.9), WeightingMatrix.inverse())
+    mixtures = [WeightedChiSquareMixture(tuple(row))
+                for _, _, _, lam, _ in plan._stacks for row in lam]
+    for alpha in (0.05, 1e-15):
+        crit = plan.critical_values(alpha)
+        power = plan.power(np.zeros(5), 1.0, alpha)
+        first = {}
+        for i, mix in enumerate(mixtures):
+            w = first.setdefault((mix.k, tuple(np.round(mix.weights, 14))), mix)
+            assert mixture_quantile(w, alpha) == crit[i], plan.subsets[i]
+            assert imhof_upper(mix, crit[i]) == power[i] > 0.0, plan.subsets[i]
+    # statistics from 0.04 to 505, tails down to 5e-108
+    for v_bar in (1.0, 0.01):
+        score = np.array([0.3, -0.2, 0.1, 0.4, -0.1])
+        q = plan.statistics(score, v_bar)
+        p = plan.p_values(score, v_bar)
+        for i, mix in enumerate(mixtures):
+            assert imhof_upper(mix, q[i]) == p[i] > 0.0, plan.subsets[i]
 
 
 def test_mixture_validation():
@@ -419,29 +450,41 @@ def test_contour_rule_agrees_with_certified_property(weights, nc, level):
 
 
 def test_upper_tails_exact_chisq_forms():
+    # upper_tails takes equal weights in closed form; the contour evaluator
+    # meets the same forms within its agreement tolerance
     rng = np.random.default_rng(41)
     levels = 10.0 ** np.linspace(-9.0, -1e-6, 40)
     for k in range(1, 16):
         for w in (1e-3, 0.05, 1.0, 12.0, 1e3):
+            lam = np.full((levels.size, k), w)
             x = w * chi2.isf(levels, k)
-            got = upper_tails(np.full((x.size, k), w), x)
-            assert np.max(np.abs(got - chi2.sf(x / w, k))) <= CONTOUR_TOL
-            zetas = rng.uniform(0.0, 50.0 / k, k)
-            x = w * ncx2.isf(levels, k, zetas.sum())
-            got = upper_tails(np.full((x.size, k), w), x,
-                              np.tile(zetas, (x.size, 1)))
-            assert np.max(np.abs(got - ncx2.sf(x / w, k, zetas.sum()))) \
-                <= CONTOUR_TOL
+            want = chi2.sf(x / w, k)
+            assert np.max(np.abs(upper_tails(lam, x) - want)) <= CONTOUR_TOL
+            got = distributions._tail_and_density(lam, np.zeros_like(lam), x)[0]
+            assert np.max(np.abs(got - want)) <= CONTOUR_TOL
+            zetas = np.tile(rng.uniform(0.0, 50.0 / k, k), (levels.size, 1))
+            x = w * ncx2.isf(levels, k, zetas[0].sum())
+            want = ncx2.sf(x / w, k, zetas[0].sum())
+            assert np.max(np.abs(upper_tails(lam, x, zetas) - want)) <= CONTOUR_TOL
+            got = distributions._tail_and_density(lam, zetas, x)[0]
+            assert np.max(np.abs(got - want)) <= CONTOUR_TOL
 
 
 def test_upper_tails_deep_central_tails():
+    # the contour evaluator is within 2e-12 of the deep chi-square tail
+    # and returns 0 below 1e-12; upper_tails' closed form has no floor
     levels = 10.0 ** np.linspace(-30.0, -9.0, 43)
     for k in range(1, 16):
         for w in (1e-3, 0.05, 1.0, 12.0, 1e3):
+            lam = np.full((levels.size, k), w)
             x = w * chi2.isf(levels, k)
-            got = upper_tails(np.full((x.size, k), w), x)
-            assert np.max(np.abs(got - chi2.sf(x / w, k))) <= 2e-12
+            want = chi2.sf(x / w, k)
+            got = distributions._tail_and_density(lam, np.zeros_like(lam), x)[0]
+            assert np.max(np.abs(got - want)) <= 2e-12
             assert not np.any((got > 0.0) & (got < distributions._DEEP_TAIL))
+            closed = upper_tails(lam, x)
+            assert np.all(closed > 0.0)
+            assert np.max(np.abs(closed / want - 1.0)) <= 1e-12
 
 
 def test_upper_tails_rows_match_imhof_upper():
@@ -475,10 +518,12 @@ def test_disagreeing_rules_return_certified_value(monkeypatch):
     lam = rng.uniform(0.1, 2.0, (5, 4))
     x = lam.sum(axis=1) * np.array([0.3, 0.8, 1.0, 1.5, 3.0])
 
-    def disagreeing(lam, zet, x):
-        return np.column_stack([np.full(x.size, 0.3), np.full(x.size, 0.7)])
+    def disagreeing(values):
+        # N = 16 and N = 20 read 0.3 and 0.7 on every row
+        return np.column_stack([np.full(len(values), 0.3),
+                                np.full(len(values), 0.7)])
 
-    monkeypatch.setattr(distributions, "_contour_tails", disagreeing)
+    monkeypatch.setattr(distributions, "_rule_sums", disagreeing)
     got = upper_tails(lam, x)
     for r in range(5):
         assert got[r] == _certified_upper(lam[r], np.zeros(4), x[r])

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -570,6 +571,19 @@ def test_analytic_power_null_recovers_alpha():
                            WeightingMatrix.identity(), alpha=0.05)
     for p in table.values():
         assert p == pytest.approx(0.05, abs=1e-6)
+
+
+def test_analytic_power_at_k9_leaks_no_overflow_warning():
+    # some of these noncentral mixtures overflow the contour's expm1; their
+    # rows go to the certified rule, and numpy's overflow and invalid-value
+    # warnings stay inside the evaluator
+    taus = (0.144, 0.158, 0.174, 0.236, 0.318, 0.539, 0.613, 0.822, 0.834)
+    g = (-1.542, 2.550, -1.554, -0.262, 1.410, 2.668, -1.430, -3.006, 4.557)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = analytic_power(taus, np.array(g), 0.9, WeightingMatrix.identity())
+    assert len(table) == 511
+    assert all(0.0 <= p <= 1.0 for p in table.values())
 
 
 def test_analytic_power_inverse_matches_mc_oracle():

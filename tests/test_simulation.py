@@ -461,7 +461,7 @@ def test_report_identical_for_any_chunk_length(monkeypatch, workers):
         assert multiprocessing.active_children() == []
     assert reports[0] == reports[1]
     assert json.loads(reports[0][0])["error_count"] == 2
-    assert len(reports[0][1]) == 2     # the clip, from the score and Wald fits
+    assert len(reports[0][1]) == 1     # the clip, once for the score and Wald fits
 
 
 def test_raised_failure_is_replayed_in_caller(monkeypatch):
@@ -513,6 +513,28 @@ def test_warning_issued_once_per_run(monkeypatch, workers):
     assert [(w.category, str(w.message)) for w in caught] == [
         (RuntimeWarning,
          "bandwidth at tau=0.02 clipped to 0.018 to stay inside (0, 1)")]
+    assert multiprocessing.active_children() == []
+
+
+def test_clip_warning_names_the_callers_line(monkeypatch):
+    # the warning names the first frame outside mqrank, here this file,
+    # whichever public function reached the clipped bandwidth; the Monte
+    # Carlo caller gets it once, from whichever worker and fit raised it
+    sc = Scenario(dgp="null_normal", n=40, taus=(0.02, 0.5), replications=4,
+                  seed=3)
+    spec = QuantileSpec(sc.taus)
+    ds = generate(sc, 0)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 2)
+    calls = [lambda: score_state(ds, spec),
+             lambda: estimate_sparsity(ds.Z, ds.y, 0.02),
+             lambda: wald_test(ds, spec),
+             lambda: run_monte_carlo(sc, methods=("raw", "wald"))]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            call()
+        assert [(w.category, w.filename) for w in caught] == \
+            [(RuntimeWarning, __file__)]
     assert multiprocessing.active_children() == []
 
 
