@@ -18,12 +18,7 @@ import numpy as np
 
 from .exceptions import TooManyHypotheses, ValidationError, ValidationIssue
 
-# Identity-weighted closed_test, n = 200, 2-core x86, effects 0 and 0.6,
-# fastest of 3 runs: 12.5-13 us per subset at K = 12 (0.05 s) and 16-17 us
-# at K = 15 (0.53-0.56 s), 52-58% of it building the SubsetPlan; the
-# contour tails cost the same with or without signal.
 MAX_HYPOTHESES = 15
-_SECONDS_PER_SUBSET = (1.2e-5, 1.7e-5)
 
 
 @dataclass(frozen=True)
@@ -128,13 +123,9 @@ def subset_positions(k: int) -> list:
     array of lexicographic rows per subset size m = 1..k; TooManyHypotheses
     when K exceeds MAX_HYPOTHESES."""
     if k > MAX_HYPOTHESES:
-        subsets = 2 ** k - 1
-        fast, slow = _SECONDS_PER_SUBSET
         raise TooManyHypotheses(
-            f"closed testing enumerates 2^K - 1 = {subsets} subsets; K={k} "
-            f"exceeds the cap of {MAX_HYPOTHESES}. At the measured "
-            f"{fast * 1e3:g}-{slow * 1e3:g} ms per identity-weighted subset "
-            f"that is {subsets * fast:.1f}-{subsets * slow:.1f} s")
+            f"closed testing enumerates 2^K - 1 = {2 ** k - 1} subsets; K={k} "
+            f"exceeds the cap of {MAX_HYPOTHESES}")
     return [np.array(list(combinations(range(k), m)), dtype=int)
             for m in range(1, k + 1)]
 

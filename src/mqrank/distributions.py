@@ -181,6 +181,8 @@ class WeightedChiSquareMixture:
         w = tuple(float(v) for v in np.atleast_1d(self.weights))
         z = self.noncentralities
         z = (0.0,) * len(w) if z is None else tuple(float(v) for v in np.atleast_1d(z))
+        if not w:
+            raise ValueError("a mixture needs at least one weight")
         if len(w) != len(z):
             raise ValueError("weights and noncentralities must have equal length")
         if not np.isfinite(w + z).all():
@@ -423,7 +425,7 @@ def upper_tails(weights, x, noncentralities=None) -> np.ndarray:
     p = np.where(z == 0.0, chdtrc(k, q), 1.0 - chndtr(q, k, z))
     out[equal] = np.where(q <= 0.0, 1.0, p)
     r = np.flatnonzero(~equal & (x > 0.0))
-    out[r] = _tail_and_density(lam[r], zet[r], x[r])[0]
+    out[r] = _tail_and_density(lam[r], zet[r], x[r], density=False)[0]
     return out
 
 
@@ -436,13 +438,15 @@ def imhof_upper(mix: WeightedChiSquareMixture, x: float) -> float:
     return float(upper_tails([mix.weights], [x], [mix.noncentralities])[0])
 
 
-def _tail_and_density(lam, zet, x):
-    """The contour evaluator: P(Q > x) and the density of Q at x for each
-    row, x > 0, in bounded blocks of rows. Both come from one log phi array
-    by the N = 20 rule where N = 16 agrees on the tail within 1e-10;
-    otherwise, a non-finite rule value included, the tail is the certified
-    rule's and the density nan. Tails below 1e-12 read 0, above 1 read 1."""
-    rules, density = np.empty((x.size, len(_RULES))), np.empty(x.size)
+def _tail_and_density(lam, zet, x, density=True):
+    """The contour evaluator: P(Q > x) and, unless density is False (then
+    None), the density of Q at x for each row, x > 0, in bounded blocks of
+    rows. Both come from one log phi array by the N = 20 rule where N = 16
+    agrees on the tail within 1e-10; otherwise, a non-finite rule value
+    included, the tail is the certified rule's and the density nan. Tails
+    below 1e-12 read 0, above 1 read 1."""
+    rules = np.empty((x.size, len(_RULES)))
+    density = np.empty(x.size) if density else None
     block = max(1, _BLOCK // (_NODES.size * lam.shape[1]))
     for start in range(0, x.size, block):
         sl = slice(start, start + block)
@@ -450,11 +454,13 @@ def _tail_and_density(lam, zet, x):
         with np.errstate(over="ignore", invalid="ignore"):
             log_phi = _log_phi(lam[sl], zet[sl], x[sl])
             rules[sl] = _rule_sums(-np.expm1(log_phi))
-            density[sl] = _rule_sums(np.exp(log_phi) * _NODES)[:, -1] / x[sl]
+            if density is not None:
+                density[sl] = _rule_sums(np.exp(log_phi) * _NODES)[:, -1] / x[sl]
     tail = rules[:, -1]
     for i in np.flatnonzero(~(np.abs(rules[:, 0] - tail) <= _AGREE_TOL)):
         tail[i] = _certified_upper(lam[i], zet[i], x[i])
-        density[i] = np.nan
+        if density is not None:
+            density[i] = np.nan
     return np.where(tail < _DEEP_TAIL, 0.0, np.minimum(tail, 1.0)), density
 
 

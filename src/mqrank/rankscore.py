@@ -291,6 +291,12 @@ def score_states(datasets, spec: QuantileSpec) -> list:
     centered duals then form its score entry. Every fit, projection and
     product is its own call, so a dataset's state has the same bits in any
     batch.
+
+    SingularProjection when some v_bar is at most 1e-20 times the mean
+    square of its x: a residual below 1e-10 of x's norm, which rounding
+    leaves with under six correct digits. That flags x in the span of the
+    nuisance design, a constant x included, in any units of x. This is the
+    one collinearity check; the statistics take v_bar > 0 as given.
     """
     for dataset in datasets:
         validate(dataset, spec)
@@ -304,12 +310,15 @@ def score_states(datasets, spec: QuantileSpec) -> list:
     fits, sparsity = fit_with_sparsity(Zs, ys, spec.taus)
     f_hat = np.array([[sp.f_hat for sp in row] for row in sparsity])
     resid, v_per_tau = _weighted_projections(Zs, x, f_hat)
+    v_bar = [float(v.mean()) for v in v_per_tau]
+    if np.any(np.array(v_bar) <= 1e-20 * (x * x).mean(axis=1)):
+        raise SingularProjection(
+            "target covariate lies in the span of the nuisance design")
     centered = np.array([[rank_score_function(qfit) for qfit in row] for row in fits])
     score = _dots(resid, centered) / np.sqrt(Zs.shape[1])
     bridge = bridge_covariance(spec.taus)
     return [RankScoreState(taus=spec.taus, null_values=spec.null_values,
-                           score=score[r], bridge=bridge,
-                           v_bar=float(v_per_tau[r].mean()),
+                           score=score[r], bridge=bridge, v_bar=v_bar[r],
                            v_per_tau=v_per_tau[r], proj_resid=resid[r],
                            fits=tuple(fits[r]), sparsity=tuple(sparsity[r]))
             for r in range(len(datasets))]
@@ -443,59 +452,61 @@ class WeightingMatrix:
 
     def materialize(self, taus, subset: HypothesisSubset) -> np.ndarray:
         """Unit-scale weighting matrix B_c for one subset of hypotheses."""
-        return self._sub_matrices(taus, subset.positions())
+        return self._sub_matrices(taus, [subset.positions()])[0]
 
-    def _sub_matrices(self, taus, pos: np.ndarray) -> np.ndarray:
-        """Validated B_c for one position vector (m,) or a (C, m) stack.
+    def _sub_matrices(self, taus, positions) -> list:
+        """B_c for each position vector (m,) or (C, m) stack in positions.
 
         The "inverse" kind is inv(bridge_c), the inverse of the subset's
         score covariance at v_bar = 1, so its mixture weights are all one
         and its statistic is chi-square; every other kind cuts principal
-        sub-matrices from one fixed K x K specification.
+        sub-matrices from one fixed K x K specification. That K x K matrix,
+        inv(bridge) for the inverse kind, is checked once, before any B_c
+        is cut: by Cauchy interlacing no principal sub-matrix of a symmetric
+        matrix, and no inverse of a principal sub-matrix of the bridge, has
+        a smaller eigenvalue ratio, so it fails exactly when some B_c would.
         """
         t = np.asarray(taus, dtype=float)
         if self.kind == "identity":
-            b = principal(np.eye(t.size), pos)
+            full = np.eye(t.size)
         elif self.kind == "inverse":
-            b = np.linalg.inv(principal(bridge_covariance(t), pos))
-            b = 0.5 * (b + np.swapaxes(b, -1, -2))
+            bridge = bridge_covariance(t)
+            full = np.linalg.inv(bridge)
         elif self.kind == "diag-delta":
-            b = principal(np.diag(1.0 / (t * (1.0 - t))), pos)
+            full = np.diag(1.0 / (t * (1.0 - t)))
         elif self.kind == "density":
             dens = np.array([self.family.density_at_quantile(tau) for tau in t])
-            b = principal(np.diag(1.0 / dens ** 2), pos)
+            full = np.diag(1.0 / dens ** 2)
         elif self.kind == "custom":
             if self.matrix.shape[0] != t.size:
                 raise ValueError(
                     f"custom weighting is {self.matrix.shape[0]}x"
                     f"{self.matrix.shape[0]} but K={t.size}")
-            b = principal(self.matrix, pos)
+            full = self.matrix
         else:
             raise ValueError(f"unknown weighting kind {self.kind!r}")
-        _check_spd(b, what=f"{self.kind} weighting matrix")
-        return b
+        _check_spd(full, what=f"{self.kind} weighting matrix")
+        if self.kind == "inverse":
+            inverses = [np.linalg.inv(principal(bridge, pos)) for pos in positions]
+            return [0.5 * (b + np.swapaxes(b, -1, -2)) for b in inverses]
+        return [principal(full, pos) for pos in positions]
 
 
 def _check_spd(b: np.ndarray, what: str) -> None:
-    """NotPositiveDefinite unless b, one matrix or a stack (..., m, m), is
-    finite, symmetric and positive definite; a stack's message describes
-    its first failing matrix."""
+    """NotPositiveDefinite unless the matrix b is finite, symmetric (within
+    1e-10 of max(1, max |b|)) and positive definite (smallest eigenvalue
+    above 1e-10 times the largest, which is positive)."""
     if not np.isfinite(b).all():
         raise NotPositiveDefinite(f"{what} has non-finite entries")
-    b_t = np.swapaxes(b, -1, -2)
-    asym = np.abs(b - b_t).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))
-    bad = np.flatnonzero(asym > 1e-10 * scale)
-    if bad.size:
+    asym = np.abs(b - b.T).max()
+    if asym > 1e-10 * max(1.0, np.abs(b).max()):
         raise NotPositiveDefinite(
-            f"{what} is not symmetric (max asymmetry {asym.flat[bad[0]]:.2e})")
-    eig = np.linalg.eigvalsh(0.5 * (b + b_t)).reshape(-1, b.shape[-1])
-    bad = np.flatnonzero((eig[:, 0] <= 1e-10 * eig[:, -1]) | (eig[:, -1] <= 0.0))
-    if bad.size:
-        eig = eig[bad[0]]
+            f"{what} is not symmetric (max asymmetry {asym:.2e})")
+    eig = np.linalg.eigvalsh(0.5 * (b + b.T))
+    if eig[0] <= 1e-10 * eig[-1] or eig[-1] <= 0.0:
         raise NotPositiveDefinite(
-            f"{what} is not positive definite (eigenvalues {eig.min():.3e}"
-            f" .. {eig.max():.3e})")
+            f"{what} is not positive definite (eigenvalues {eig[0]:.3e}"
+            f" .. {eig[-1]:.3e})")
 
 
 # --- test statistics ---------------------------------------------------------
@@ -510,9 +521,6 @@ def statistic_standard(state: RankScoreState,
     """Chi-square local test: score sub-vector against its own covariance."""
     _check_subset(state, subset)
     pos = subset.positions()
-    if state.v_bar <= 1e-12:
-        raise SingularProjection(
-            "target covariate lies in the span of the nuisance design")
     s_c = state.score[pos]
     a_c = state.covariance(subset)
     try:
@@ -560,9 +568,6 @@ def statistic_generalized(state: RankScoreState, subset: HypothesisSubset,
     inv(v_bar * bridge_c), whose statistic is the chi-square one.
     """
     _check_subset(state, subset)
-    if state.v_bar <= 1e-12:
-        raise SingularProjection(
-            "target covariate lies in the span of the nuisance design")
     pos = subset.positions()
     b_c = weighting.materialize(state.taus, subset)
     lam = mixture_weights(principal(state.bridge, pos), b_c)
@@ -623,10 +628,10 @@ class SubsetPlan:
         bridge = bridge_covariance(taus)
         self._stacks = []
         start = 0
-        for pos in subset_positions(k):
+        positions = subset_positions(k)
+        for pos, b in zip(positions, weighting._sub_matrices(taus, positions)):
             rows = slice(start, start + len(pos))
             start = rows.stop
-            b = weighting._sub_matrices(taus, pos)
             lam, vecs, a_inv_half = _mixture(principal(bridge, pos), b)
             self._stacks.append(
                 (rows, pos, b, lam, np.swapaxes(vecs, -1, -2) @ a_inv_half))
@@ -638,15 +643,12 @@ class SubsetPlan:
         one (K,) score or for each row of an (R, K) stack with its (R,)
         v_bar; each quadratic form is its own product, on contiguous rows
         as BLAS gives other bits for strided vectors."""
-        v_bar = np.asarray(v_bar)
-        if np.any(v_bar <= 1e-12):
-            raise SingularProjection(
-                "target covariate lies in the span of the nuisance design")
         quad = []
         for _, pos, b, *_ in self._stacks:
             s = np.ascontiguousarray(score[..., pos])
             quad.append((s[..., None, :] @ b @ s[..., :, None])[..., 0, 0])
-        return np.maximum(np.concatenate(quad, axis=-1), 0.0) / v_bar[..., None]
+        return (np.maximum(np.concatenate(quad, axis=-1), 0.0)
+                / np.asarray(v_bar)[..., None])
 
     def p_values(self, score: np.ndarray, v_bar: float) -> np.ndarray:
         """Null tail probability of every subset's statistic."""

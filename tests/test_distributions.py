@@ -351,6 +351,11 @@ def test_mixture_validation():
         WeightedChiSquareMixture(weights=(1.0,), noncentralities=(-1.0,))
     with pytest.raises(ValueError):
         WeightedChiSquareMixture(weights=(1.0, 2.0), noncentralities=(0.0,))
+    # with no component the tail rules would have nothing to reduce over
+    for weights, noncentralities in (((), None), ([], []), (np.empty(0), ())):
+        with pytest.raises(ValueError, match="at least one weight"):
+            WeightedChiSquareMixture(weights=weights,
+                                     noncentralities=noncentralities)
     for weights, noncentralities in (((float("nan"),), None),
                                      ((float("inf"), 1.0), None),
                                      ((1.0,), (float("nan"),)),
@@ -360,6 +365,22 @@ def test_mixture_validation():
                                      noncentralities=noncentralities)
     with pytest.raises(ValueError):
         mixture_quantile(WeightedChiSquareMixture(weights=(1.0,)), 1.5)
+
+
+def test_tails_without_densities_have_the_same_bits():
+    # upper_tails skips the density sums; its tails, certified rows
+    # included, are those the quantile solver sees
+    certified = 0
+    for lam, zet, x in mixture_grid(83, 60, harsh=True):
+        lam, zet, x = lam[None], zet[None], np.array([x])
+        tail, density = distributions._tail_and_density(lam, zet, x)
+        alone, none = distributions._tail_and_density(lam, zet, x, density=False)
+        assert none is None
+        assert np.array_equal(alone, tail)
+        if lam.size > 1:  # one component is a scaled chi-square
+            assert np.array_equal(upper_tails(lam, x, zet), tail)
+        certified += int(np.isnan(density[0]))
+    assert certified > 0
 
 
 def test_mixture_moments():

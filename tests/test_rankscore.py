@@ -1,5 +1,6 @@
 import re
 import warnings
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -98,9 +99,56 @@ def test_projection_annihilates_nuisance_span():
     resid, v = weighted_projection(Z, x, np.ones(n))
     assert np.max(np.abs(resid)) < 1e-10
     assert v < 1e-20
-    state = synthetic_state((0.5,), [0.0], v_bar=v)
-    with pytest.raises(SingularProjection):
-        statistic_standard(state, HypothesisSubset((1,)))
+    dataset = Dataset(y=rng.standard_normal(n), x=x, Z=Z)
+    with pytest.raises(SingularProjection, match="span of the nuisance"):
+        score_state(dataset, QuantileSpec((0.5,)))
+
+
+def _hetero_dataset(x=None):
+    """The n = 200 heteroscedastic dataset of the units tests, optionally
+    with another target column."""
+    ds = make_dataset(np.random.default_rng(20261020), n=200, scale="hetero")
+    return ds if x is None else Dataset(y=ds.y, x=x, Z=ds.Z)
+
+
+@pytest.mark.parametrize("name", ["identity", "inverse"])
+def test_adjusted_p_values_do_not_depend_on_the_units_of_x(name):
+    # x -> 2^k x scales the residual, the score and sqrt(v_bar) exactly, so
+    # every statistic keeps its bits, down to x of order 1e-18
+    ds = _hetero_dataset()
+    spec = QuantileSpec((0.25, 0.5, 0.75))
+    weighting = WeightingMatrix.parse(name)
+    want = closed_test(score_state(ds, spec), weighting)
+    for k in range(-60, 61):
+        got = closed_test(score_state(_hetero_dataset(np.ldexp(ds.x, k)), spec),
+                          weighting)
+        assert np.array_equal(got.adjusted_p, want.adjusted_p), k
+        assert got.local_p == want.local_p, k
+
+
+def test_score_state_rejects_a_collinear_target_at_any_scale():
+    ds = _hetero_dataset()
+    spec = QuantileSpec((0.25, 0.5, 0.75))
+    for x in (ds.Z @ np.array([2.0, -1.0]), np.full(ds.n, 3.7)):
+        for scale in (1.0, 2.0 ** -40):
+            with pytest.raises(SingularProjection, match="span of the nuisance"):
+                score_state(_hetero_dataset(scale * x), spec)
+
+
+def test_score_state_accepts_a_target_with_a_large_nuisance_part():
+    # x + 1e7 z and 1.7e9 + x are not collinear, though their nuisance
+    # part dwarfs their residual; an absolute bound on v_bar would flag both
+    # once scaled by 2^-40, a scaling that keeps every bit of their p-values
+    ds = _hetero_dataset()
+    spec = QuantileSpec((0.25, 0.5, 0.75))
+    want = closed_test(score_state(ds, spec), WeightingMatrix.identity())
+    for x in (ds.x + 1e7 * ds.Z[:, 1], 1.7e9 + ds.x):
+        got = closed_test(score_state(_hetero_dataset(x), spec),
+                          WeightingMatrix.identity())
+        assert np.allclose(got.adjusted_p, want.adjusted_p, rtol=0.0, atol=1e-6)
+        scaled = closed_test(score_state(_hetero_dataset(2.0 ** -40 * x), spec),
+                             WeightingMatrix.identity())
+        assert np.array_equal(scaled.adjusted_p, got.adjusted_p)
 
 
 def test_projection_weight_scale_cancels():
@@ -508,8 +556,6 @@ def test_plan_statistics_of_a_score_stack_equal_one_row_calls(k, name):
     assert stack.shape == (9, 2 ** k - 1)
     for row, s, v in zip(stack, score, v_bar):
         assert np.array_equal(row, plan.statistics(s, float(v)))
-    with pytest.raises(SingularProjection):
-        plan.statistics(score, np.where(np.arange(9) == 4, 0.0, v_bar))
 
 
 @pytest.mark.parametrize("k", [5, 9])
@@ -716,6 +762,77 @@ def test_custom_weighting_validation_and_subsetting():
         WeightingMatrix.custom(np.array([[1.0, 0.0], [0.0, -2.0]]))
     with pytest.raises(ValueError):
         WeightingMatrix.density_reciprocal("t")
+    # the 1e-6 asymmetry is within 1e-10 of the largest entry, 1e6, though
+    # not of the lower block's: accepted once, the matrix builds every plan
+    mat = np.diag([1e6, 1.0, 2.0])
+    mat[1, 2], mat[2, 1] = 0.3, 0.3 + 1e-6
+    plan = SubsetPlan((0.2, 0.5, 0.8), WeightingMatrix.custom(mat))
+    assert np.array_equal(plan._stacks[1][2][2], mat[1:, 1:])
+
+
+def _fails_spd_rule(b):
+    """The per-matrix rule of a weighting: finite, symmetric within 1e-10
+    of max(1, max |b|), smallest eigenvalue above 1e-10 times the largest,
+    which is positive."""
+    if not np.isfinite(b).all():
+        return True
+    if np.abs(b - b.T).max() > 1e-10 * max(1.0, np.abs(b).max()):
+        return True
+    eig = np.linalg.eigvalsh(0.5 * (b + b.T))
+    return eig[0] <= 1e-10 * eig[-1] or eig[-1] <= 0.0
+
+
+def _random_weightings(rng, count):
+    """(taus, weighting, K x K matrix) triples: density weightings at
+    levels out to 1e-6 from the ends, and symmetric custom matrices with
+    eigenvalues spread over 13 decades, one in five with a negative one."""
+    for _ in range(count):
+        k = int(rng.integers(2, 7))
+        ends = 10.0 ** rng.uniform(-6.0, np.log10(0.5), k)
+        taus = tuple(np.unique(np.where(rng.random(k) < 0.5, ends, 1.0 - ends)))
+        if rng.random() < 0.5:
+            family = (("normal",) if rng.random() < 0.3
+                      else ("t", 10.0 ** rng.uniform(-0.5, 1.0)))
+            weighting = WeightingMatrix.density_reciprocal(*family)
+            dens = np.array([weighting.family.density_at_quantile(t) for t in taus])
+            yield taus, weighting, np.diag(1.0 / dens ** 2)
+        else:
+            q = np.linalg.qr(rng.standard_normal((len(taus), len(taus))))[0]
+            eig = 10.0 ** rng.uniform(-13.0, 0.0, len(taus))
+            if rng.random() < 0.2:
+                eig[0] = -eig[0]
+            m = (q * eig) @ q.T
+            m = 0.5 * (m + m.T)
+            yield taus, WeightingMatrix(kind="custom", matrix=m), m
+
+
+def test_plan_rejects_a_weighting_exactly_when_some_sub_block_fails():
+    """The K x K check stands for all 2^K - 1 per-subset checks (Cauchy
+    interlacing), and its message gives the K x K eigenvalues. A weighting
+    that passes can still meet the plan's separate check on the mixture
+    weights, whose message does not name the weighting."""
+    outcomes = []
+    for taus, weighting, full in _random_weightings(np.random.default_rng(29), 80):
+        k = len(taus)
+        oracle = any(_fails_spd_rule(full[np.ix_(pos, pos)])
+                     for m in range(1, k + 1)
+                     for pos in map(list, combinations(range(k), m)))
+        outcomes.append(oracle)
+        if weighting.kind == "custom" and oracle:
+            with pytest.raises(NotPositiveDefinite):
+                WeightingMatrix.custom(full)
+        elif weighting.kind == "custom":
+            WeightingMatrix.custom(full)
+        try:
+            SubsetPlan(taus, weighting)
+            message = ""
+        except NotPositiveDefinite as exc:
+            message = str(exc)
+        assert message.startswith(f"{weighting.kind} weighting matrix") == oracle
+        if oracle:
+            eig = np.linalg.eigvalsh(0.5 * (full + full.T))
+            assert message.endswith(f"(eigenvalues {eig[0]:.3e} .. {eig[-1]:.3e})")
+    assert 10 <= sum(outcomes) <= 70
 
 
 def test_theorem_style_uniformity_of_null_pvalues():
