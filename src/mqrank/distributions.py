@@ -2,7 +2,9 @@
 
 Central chi-square tails and quantiles are scipy.special's closed forms
 (chdtrc, chdtri; chi2.sf and chi2.isf call the same functions behind
-their argument handling), and the noncentral tail is 1 - chndtr.
+their argument handling), and the noncentral tail is 1 - chndtr. These
+ufuncs come through mqrank._special, which loads them without running
+scipy.special's package init (its docstring says why and at what risk).
 Equal mixture weights w (max - min within 1e-9 of the largest) make a
 scaled chi-square, w chisq_K(sum_i z_i), whose tail and central quantile
 take these closed forms in every public function, with no floor.
@@ -105,8 +107,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, chdtri, chndtr
 
+from ._special import chdtrc, chdtri, chndtr
 from .exceptions import QuadratureFailure
 
 # absolute budgets on the integral, so the p-value error is below 1e-10;

@@ -44,8 +44,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, ndtri, stdtrit
 
+from ._special import betaln, ndtri, stdtrit
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         subset_positions, validate, validate_spec)
 from .distributions import (_EQUAL_WEIGHT_RTOL, _equal_weights,
@@ -76,8 +76,9 @@ def _normal_density(z: float) -> float:
 def hall_sheather_bandwidth(n: int, tau: float, alpha: float = 0.05) -> float:
     """Hall-Sheather rate-optimal bandwidth for quantile density estimation.
 
-    Uses ndtri and the normal density in closed form rather than
-    scipy.stats.norm, whose argument handling costs ~100x the arithmetic.
+    Uses ndtri (through mqrank._special) and the normal density in closed
+    form rather than scipy.stats.norm, whose argument handling costs ~100x
+    the arithmetic.
     """
     z_tau = ndtri(tau)
     num = 1.5 * _normal_density(z_tau) ** 2
@@ -354,8 +355,9 @@ class ErrorFamily:
     df: float = None
 
     def density_at_quantile(self, tau: float) -> float:
-        """Density at the tau-quantile, from scipy.special closed forms
-        (ndtri, stdtrit, betaln) so that scipy.stats is never imported."""
+        """Density at the tau-quantile, from scipy.special's ufuncs ndtri,
+        stdtrit and betaln, which come through mqrank._special, so that
+        neither scipy.stats nor scipy.special's package init runs."""
         if self.name == "normal":
             return float(_normal_density(ndtri(tau)))
         if self.name == "t":
@@ -533,11 +535,15 @@ def statistic_standard(state: RankScoreState,
                        p_value=chisq_upper(stat, k), subset=subset)
 
 
-def _mixture(a: np.ndarray, b: np.ndarray):
+def _mixture(a: np.ndarray, b: np.ndarray, where=None):
     """Eigendecomposition of a^{1/2} b a^{1/2}, the one behind every
     generalized test, for one pair or a stack (..., m, m) of pairs: returns
     its eigenvalues lam (the mixture weights; same spectrum as b @ a but
-    numerically symmetric), its eigenvectors and a^{-1/2}."""
+    numerically symmetric), its eigenvectors and a^{-1/2}.
+
+    NotPositiveDefinite when some pair's smallest weight is at most 1e-12
+    of its largest; its message gives the first such pair's ratio, and
+    ``where(i)``, when given, names the i-th pair (flat index) of a stack."""
     eigval, eigvec = np.linalg.eigh(a)
     low = eigval[..., 0]
     if (low <= 0.0).any() or (low <= 1e-14 * eigval[..., -1]).any():
@@ -547,8 +553,15 @@ def _mixture(a: np.ndarray, b: np.ndarray):
     a_half = (eigvec * root) @ eigvec_t
     sym = a_half @ b @ a_half
     lam, vecs = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-    if (lam[..., 0] <= 1e-12 * lam[..., -1]).any():
-        raise NotPositiveDefinite("mixture weights are not all strictly positive")
+    bad = np.flatnonzero(lam[..., 0] <= 1e-12 * lam[..., -1])
+    if bad.size:
+        w = lam.reshape(-1, lam.shape[-1])[bad[0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = w[0] / w[-1]
+        place = "" if where is None else f"{where(bad[0])}: "
+        raise NotPositiveDefinite(
+            f"{place}mixture weights are not all strictly positive "
+            f"(smallest/largest {ratio:.3e})")
     return lam, vecs, (eigvec / root) @ eigvec_t
 
 
@@ -632,7 +645,10 @@ class SubsetPlan:
         for pos, b in zip(positions, weighting._sub_matrices(taus, positions)):
             rows = slice(start, start + len(pos))
             start = rows.stop
-            lam, vecs, a_inv_half = _mixture(principal(bridge, pos), b)
+            lam, vecs, a_inv_half = _mixture(
+                principal(bridge, pos), b,
+                where=lambda i: (f"{weighting.kind} weighting at levels "
+                                 f"{self.subsets[rows.start + i]}"))
             self._stacks.append(
                 (rows, pos, b, lam, np.swapaxes(vecs, -1, -2) @ a_inv_half))
         self.member = np.concatenate([np.eye(k, dtype=bool)[pos].any(axis=1)

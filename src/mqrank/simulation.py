@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import chdtrc
-
+from ._special import chdtrc
 from .datamodel import (Dataset, HypothesisSubset, QuantileSpec, all_subsets,
                         subset_positions, validate_spec)
 from .exceptions import MqrankError, SingularCovariance

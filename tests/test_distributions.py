@@ -68,23 +68,80 @@ def test_chisq_noncentral_matches_scipy_stats_on_grid():
             assert np.max(np.abs(got - ncx2.sf(xs, k, zeta))) <= 1e-12
 
 
-def _loaded_after(code, modules):
-    """The entries of `modules` loaded after a fresh interpreter runs `code`."""
+def _fresh_stdout(code):
+    """The last line that a fresh interpreter prints when it runs `code`."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
+
+
+def _loaded_after(code, modules):
+    """The entries of `modules` loaded after a fresh interpreter runs `code`."""
+    return _fresh_stdout(
+        f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])")
 
 
 def test_import_leaves_scipy_stats_unloaded():
     # nor the process pool, which only run_monte_carlo imports, nor the
-    # parts of scipy that only an LP solve needs
+    # parts of scipy that only an LP solve needs, nor scipy.special's
+    # package init and what its array-API support loads
     unloaded = ["scipy.stats", "multiprocessing", "concurrent.futures.process",
-                "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+                "scipy.optimize", "scipy.sparse", "scipy.linalg",
+                "scipy.special", "scipy._lib._array_api", "numpy.f2py",
+                "numpy.testing"]
     assert _loaded_after("import mqrank, mqrank.cli", unloaded) == "[]"
+
+
+_SAME_UFUNCS = ("import scipy.special\n"
+                "names = ('betaln', 'chdtrc', 'chdtri', 'chndtr', 'ndtri', 'stdtrit')\n"
+                "print(all(getattr(mqrank._special, f) is getattr(scipy.special, f)"
+                " for f in names))")
+
+
+def test_special_functions_are_scipy_specials_own_objects():
+    assert _fresh_stdout(f"import mqrank._special\n{_SAME_UFUNCS}") == "True"
+
+
+def test_scipy_special_stats_and_optimize_still_load_after_mqrank():
+    code = ("import mqrank.cli\n"
+            "import scipy.special\n"
+            "from scipy.stats import ncx2\n"
+            "from scipy.optimize import linprog\n"
+            "fit = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
+            "print(scipy.special.chdtrc(3, 2.5), ncx2.sf(2.5, 3, 1.0), fit.fun)")
+    special, stats, lp = map(float, _fresh_stdout(code).split())
+    assert special == chdtrc(3, 2.5)
+    assert abs(stats - chisq_noncentral_upper(2.5, 3, 1.0)) <= 1e-12
+    assert lp == 1.0
+
+
+def test_special_functions_when_scipy_special_is_loaded_first():
+    code = ("import scipy.special\n"
+            "import mqrank._special\n"
+            "assert mqrank._special._module is scipy.special\n"
+            f"{_SAME_UFUNCS}")
+    assert _fresh_stdout(code) == "True"
+
+
+def test_special_functions_when_the_private_load_fails():
+    # a finder that refuses scipy.special._ufuncs while a module without
+    # a file stands in for scipy.special, as another scipy layout would
+    code = ("import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        parent = sys.modules.get('scipy.special')\n"
+            "        if (name == 'scipy.special._ufuncs'\n"
+            "                and getattr(parent, '__file__', None) is None):\n"
+            "            raise ImportError('refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import mqrank._special\n"
+            "assert mqrank._special._module is sys.modules['scipy.special']\n"
+            "from mqrank import chisq_upper\n"
+            "assert chisq_upper(2.5, 3) == mqrank._special.chdtrc(3, 2.5)\n"
+            f"{_SAME_UFUNCS}")
+    assert _fresh_stdout(code) == "True"
 
 
 def test_power_command_never_loads_scipy_optimize():

@@ -810,7 +810,7 @@ def test_plan_rejects_a_weighting_exactly_when_some_sub_block_fails():
     """The K x K check stands for all 2^K - 1 per-subset checks (Cauchy
     interlacing), and its message gives the K x K eigenvalues. A weighting
     that passes can still meet the plan's separate check on the mixture
-    weights, whose message does not name the weighting."""
+    weights (see the next test)."""
     outcomes = []
     for taus, weighting, full in _random_weightings(np.random.default_rng(29), 80):
         k = len(taus)
@@ -829,10 +829,34 @@ def test_plan_rejects_a_weighting_exactly_when_some_sub_block_fails():
         except NotPositiveDefinite as exc:
             message = str(exc)
         assert message.startswith(f"{weighting.kind} weighting matrix") == oracle
+        if message and not oracle:
+            assert message.startswith(f"{weighting.kind} weighting at levels ")
         if oracle:
             eig = np.linalg.eigvalsh(0.5 * (full + full.T))
             assert message.endswith(f"(eigenvalues {eig[0]:.3e} .. {eig[-1]:.3e})")
     assert 10 <= sum(outcomes) <= 70
+
+
+def test_plan_names_the_weighting_and_subset_whose_mixture_weights_fail():
+    """diag(2e-10, 1, 1) passes the weighting's 1e-10 eigenvalue-ratio rule,
+    but with level 1 at tau = 1e-3 the smallest mixture weight of subset
+    {1, 2} is below 1e-12 of its largest. For a diagonal B the weights are
+    the eigenvalues of B^{1/2} A B^{1/2}, whose determinant b_1 det(A)
+    gives the small one without cancellation."""
+    taus = (1e-3, 0.5, 0.9)
+    with pytest.raises(NotPositiveDefinite) as info:
+        SubsetPlan(taus, WeightingMatrix.custom(np.diag([2e-10, 1.0, 1.0])))
+    match = re.fullmatch(r"custom weighting at levels 1,2: mixture weights are "
+                         r"not all strictly positive \(smallest/largest (\S+)\)",
+                         str(info.value))
+    assert match
+    t1, t2 = taus[:2]
+    trace = 2e-10 * t1 * (1.0 - t1) + t2 * (1.0 - t2)
+    det = 2e-10 * t1 * (1.0 - t2) * (t2 - t1)
+    large = 0.5 * (trace + np.sqrt(trace * trace - 4.0 * det))
+    assert float(match.group(1)) == pytest.approx(det / large ** 2, rel=1e-3)
+    # the singletons and subset {1, 3} (ratio 2.2e-12) pass on their own
+    SubsetPlan((1e-3, 0.9), WeightingMatrix.custom(np.diag([2e-10, 1.0])))
 
 
 def test_theorem_style_uniformity_of_null_pvalues():
