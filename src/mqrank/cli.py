@@ -3,6 +3,11 @@
 Exit codes: 0 success; 2 for a ``ValueError``, ``ValidationError`` or
 I/O error, an unwritable ``--out`` among them; 3 for any other
 ``MqrankError``. :func:`main` applies this rule for every command.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, before numpy loads, so the process starts no OpenBLAS thread
+pool. Each command imports the modules it alone runs: ``power`` loads
+neither :mod:`mqrank.multiplicity` nor :mod:`mqrank.simulation`.
 """
 
 from __future__ import annotations
@@ -16,14 +21,17 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
+# Every BLAS call mqrank makes is a small p x p or K x K system or an
+# (n, p) product, no faster on several threads, so a thread pool (numpy
+# and scipy each start one) would only cost start-up and exit time. Set
+# before numpy loads; a value the user sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .datamodel import Dataset, QuantileSpec, validate
 from .exceptions import MqrankError, ValidationError
-from .multiplicity import closed_test
 from .rankscore import WeightingMatrix, analytic_power, score_state
-from .simulation import (Scenario, load_scenario, parse_scenario_text,
-                         run_monte_carlo, target_coefficients)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -101,6 +109,9 @@ def _load_weighting(text: str, k: int) -> WeightingMatrix:
 # --- test ----------------------------------------------------------------------
 
 def cmd_test(args) -> str | list:
+    from .multiplicity import closed_test
+    from .simulation import target_coefficients
+
     nuisance = [c for c in (args.nuisance.split(",") if args.nuisance else []) if c]
     columns = [args.response, args.target] + nuisance
 
@@ -157,7 +168,11 @@ def cmd_test(args) -> str | list:
 
 # --- simulate ------------------------------------------------------------------
 
-def _resolve_scenario(name: str) -> Scenario:
+def _resolve_scenario(name: str):
+    """The scenario in the file ``name``, or else the bundled one of that
+    name."""
+    from .simulation import load_scenario, parse_scenario_text
+
     if os.path.exists(name):
         return load_scenario(name)
     resource = resources.files("mqrank").joinpath(f"scenarios/{name}.scenario")
@@ -167,6 +182,8 @@ def _resolve_scenario(name: str) -> Scenario:
 
 
 def cmd_simulate(args) -> str | list:
+    from .simulation import run_monte_carlo
+
     scenario = _resolve_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)

@@ -162,7 +162,7 @@ def validate(dataset: Dataset, spec: QuantileSpec):
         issues.append(ValidationIssue(
             "MissingIntercept", "first column of Z must be exactly all ones"))
 
-    if np.unique(y).size < p + 1:
+    if _distinct_count(y) < p + 1:
         issues.append(ValidationIssue(
             "SampleTooSmall",
             f"y has fewer than p + 1 = {p + 1} distinct values; the "
@@ -182,6 +182,17 @@ def validate_spec(spec: QuantileSpec) -> QuantileSpec:
     return spec
 
 
+def _distinct_count(values) -> int:
+    """``np.unique(values).size``: every NaN counts as one value, and -0.0
+    equals 0.0. Sorting and comparing neighbours, since numpy 2's
+    ``np.unique`` imports ``numpy.ma`` on its first call."""
+    v = np.sort(np.ravel(values))
+    nan = np.isnan(v)
+    v = v[~nan]
+    return (int(v.size > 0) + int(np.count_nonzero(v[1:] != v[:-1]))
+            + int(nan.any()))
+
+
 def _spec_issues(spec: QuantileSpec) -> list:
     issues = []
     taus = np.asarray(spec.taus, dtype=float)
@@ -190,7 +201,7 @@ def _spec_issues(spec: QuantileSpec) -> list:
     if np.any(taus <= 0.0) or np.any(taus >= 1.0) or not np.all(np.isfinite(taus)):
         issues.append(ValidationIssue(
             "QuantileOutOfRange", "quantile levels must lie strictly in (0, 1)"))
-    if np.unique(taus).size != taus.size:
+    if _distinct_count(taus) != taus.size:
         issues.append(ValidationIssue(
             "DuplicateQuantile", "quantile levels must be distinct"))
     if len(spec.null_values) != taus.size:

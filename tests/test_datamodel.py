@@ -3,6 +3,7 @@ import pytest
 
 from mqrank import (Dataset, HypothesisSubset, QuantileSpec, ValidationError,
                     all_subsets, validate)
+from mqrank.datamodel import _distinct_count
 from helpers import make_dataset
 
 
@@ -73,6 +74,18 @@ def test_constant_response_rejected(good_pair):
     with pytest.raises(ValidationError) as exc:
         validate(const, spec)
     assert "SampleTooSmall" in exc.value.codes
+
+
+def test_distinct_count_equals_numpy_unique_size():
+    # every NaN is one value, -0.0 equals 0.0, and each infinity is a value
+    pool = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.0, 0.5,
+                     5e-324, -5e-324])
+    rng = np.random.default_rng(23)
+    cases = [np.array([]), np.array([np.nan]), np.array([-0.0, 0.0]),
+             np.array([np.nan, np.nan, -np.inf, np.inf, np.inf]), pool]
+    cases += [rng.choice(pool, size) for size in rng.integers(1, 30, 300)]
+    for v in cases:
+        assert _distinct_count(v) == np.unique(v).size, v
 
 
 def test_null_value_count_has_its_own_code(good_pair):

@@ -68,10 +68,13 @@ def test_chisq_noncentral_matches_scipy_stats_on_grid():
             assert np.max(np.abs(got - ncx2.sf(xs, k, zeta))) <= 1e-12
 
 
-def _fresh_stdout(code):
-    """The last line that a fresh interpreter prints when it runs `code`."""
+def _fresh_stdout(code, **env):
+    """The last line that a fresh interpreter prints when it runs `code`,
+    with `env` over this process's environment; None unsets a name."""
     env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)))
+               PYTHONPATH=os.path.dirname(os.path.dirname(mqrank.__file__)),
+               **env)
+    env = {name: value for name, value in env.items() if value is not None}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
@@ -92,6 +95,75 @@ def test_import_leaves_scipy_stats_unloaded():
                 "scipy.special", "scipy._lib._array_api", "numpy.f2py",
                 "numpy.testing"]
     assert _loaded_after("import mqrank, mqrank.cli", unloaded) == "[]"
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    code = ("import sys, mqrank\n"
+            "print([m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
+            "       or m.startswith('mqrank.')])")
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_every_public_name_is_its_submodules_object():
+    code = ("import sys, mqrank\n"
+            "owners = {n: getattr(mqrank, n).__module__ for n in mqrank.__all__}\n"
+            "print(len(owners), all(o.startswith('mqrank.') and\n"
+            "      getattr(mqrank, n) is getattr(sys.modules[o], n)\n"
+            "      for n, o in owners.items()))")
+    assert _fresh_stdout(code) == f"{len(mqrank.__all__)} True"
+
+
+def test_star_import_binds_all_public_names():
+    code = ("from mqrank import *\n"
+            "import mqrank\n"
+            "print(all(globals()[n] is getattr(mqrank, n) for n in mqrank.__all__))")
+    assert _fresh_stdout(code) == "True"
+
+
+def test_submodule_resolves_without_an_explicit_import():
+    code = ("import sys, mqrank\n"
+            "print(mqrank.simulation is sys.modules['mqrank.simulation'],\n"
+            "      mqrank.simulation.run_monte_carlo is mqrank.run_monte_carlo)")
+    assert _fresh_stdout(code) == "True True"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = ("import mqrank\n"
+            "try:\n"
+            "    mqrank.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)")
+    assert _fresh_stdout(code) == "module 'mqrank' has no attribute 'no_such_name'"
+
+
+def test_dir_lists_public_names_and_submodules_without_loading_them():
+    code = ("import sys, mqrank\n"
+            "names = set(dir(mqrank))\n"
+            "print(set(mqrank.__all__) <= names, {'cli', 'simulation'} <= names,\n"
+            "      'numpy' in sys.modules or 'mqrank.simulation' in sys.modules)")
+    assert _fresh_stdout(code) == "True True False"
+
+
+def test_cli_defaults_blas_to_one_thread():
+    # on Linux, /proc/self/task lists the threads of the process
+    code = ("import os, sys\n"
+            "from mqrank.cli import main\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir("
+            "'/proc/self/task')) if sys.platform == 'linux' else 1)")
+    assert _fresh_stdout(code, OPENBLAS_NUM_THREADS=None) == "1 1"
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    code = ("import os\n"
+            "from mqrank.cli import main\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _fresh_stdout(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_library_import_leaves_blas_threads_unset():
+    code = ("import os, mqrank.rankscore\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _fresh_stdout(code, OPENBLAS_NUM_THREADS=None) == "None"
 
 
 _SAME_UFUNCS = ("import scipy.special\n"
@@ -148,7 +220,8 @@ def test_power_command_never_loads_scipy_optimize():
     run = ("from mqrank.cli import main\n"
            "assert main(['power', '--taus', '0.1,0.25,0.5,0.75,0.9', '--g', "
            "'0.3,0.2,0.1,0,0', '--weighting', 'density:normal']) == 0")
-    assert _loaded_after(run, ["scipy.optimize"]) == "[]"
+    assert _loaded_after(run, ["scipy.optimize", "numpy.ma", "mqrank.simulation",
+                               "mqrank.multiplicity"]) == "[]"
 
 
 def test_test_command_on_continuous_data_never_loads_scipy_optimize(tmp_path):
@@ -165,7 +238,7 @@ def test_test_command_on_continuous_data_never_loads_scipy_optimize(tmp_path):
            "'--target', 'x', '--nuisance', 'z', '--taus', "
            "'0.1,0.25,0.5,0.75,0.9', '--out', 'report.json']) == 0")
     assert _loaded_after(f"import os\nos.chdir({str(tmp_path)!r})\n{run}",
-                         ["scipy.optimize", "scipy.sparse"]) == "[]"
+                         ["scipy.optimize", "scipy.sparse", "numpy.ma"]) == "[]"
     assert (tmp_path / "report.json").exists()
 
 
