@@ -39,7 +39,7 @@ _EXPORTS = {
                    "NotPositiveDefinite", "SingularA", "QuadratureFailure",
                    "TooManyHypotheses", "SingularCovariance"),
 }
-_SUBMODULES = ("cli", *_EXPORTS)
+_SUBMODULES = tuple(_EXPORTS)
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_OWNER)

@@ -21,10 +21,12 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
-# Every BLAS call mqrank makes is a small p x p or K x K system or an
-# (n, p) product, no faster on several threads, so a thread pool (numpy
-# and scipy each start one) would only cost start-up and exit time. Set
-# before numpy loads; a value the user sets wins.
+# numpy and scipy each start a thread pool, which costs start-up and exit
+# time, while every BLAS call mqrank makes is a small p x p or K x K
+# system or an (n, p) product. On 2 CPUs, one thread was no slower at
+# n = 10^4, K = 9; at n = 10^5, p = 9 two were 16% faster, so large n
+# should set the variable (README, Install). Set before numpy loads; a
+# value the user sets wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
