@@ -172,6 +172,17 @@ _KRONROD_MINUS_GAUSS = _GK_WEIGHTS - np.concatenate([_WG_HALF[:-1],
                                                      _WG_HALF[::-1]])
 
 
+def _check_mixture(lam: np.ndarray, zet: np.ndarray) -> None:
+    """ValueError unless every weight is finite and positive and every
+    noncentrality finite and nonnegative."""
+    if not (np.isfinite(lam).all() and np.isfinite(zet).all()):
+        raise ValueError("mixture weights and noncentralities must be finite")
+    if not (lam > 0.0).all():
+        raise ValueError("mixture weights must be strictly positive")
+    if not (zet >= 0.0).all():
+        raise ValueError("noncentralities must be nonnegative")
+
+
 @dataclass(frozen=True)
 class WeightedChiSquareMixture:
     """Distribution of sum_i weights_i * chisq_1(noncentralities_i)."""
@@ -187,12 +198,7 @@ class WeightedChiSquareMixture:
             raise ValueError("a mixture needs at least one weight")
         if len(w) != len(z):
             raise ValueError("weights and noncentralities must have equal length")
-        if not np.isfinite(w + z).all():
-            raise ValueError("mixture weights and noncentralities must be finite")
-        if any(v <= 0.0 for v in w):
-            raise ValueError("mixture weights must be strictly positive")
-        if any(v < 0.0 for v in z):
-            raise ValueError("noncentralities must be nonnegative")
+        _check_mixture(np.array(w), np.array(z))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "noncentralities", z)
 
@@ -411,14 +417,16 @@ def upper_tails(weights, x, noncentralities=None) -> np.ndarray:
     1e-9 of the largest) is the scaled chi-square w chisq_K(sum z), in
     closed form. Every other tail is the contour evaluator's (see the
     module docstring), with absolute error about 1e-10 and 0 below 1e-12.
-    Raises QuadratureFailure when a row reaches the certified rule and it
-    cannot certify its budget.
+    Raises ValueError when a weight is not finite and positive or a
+    noncentrality not finite and nonnegative, and QuadratureFailure when a
+    row reaches the certified rule and it cannot certify its budget.
     """
     lam = np.atleast_2d(np.asarray(weights, dtype=float))
     rows, k = lam.shape
     x = np.asarray(x, dtype=float).reshape(rows)
     zet = np.zeros((rows, k)) if noncentralities is None else \
         np.atleast_2d(np.asarray(noncentralities, dtype=float))
+    _check_mixture(lam, zet)
 
     out = np.where(x <= 0.0, 1.0, np.nan)
     equal = _equal_weights(lam)

@@ -32,8 +32,8 @@ p free duals. A block is certified when they lie strictly inside (0, 1):
 the result then satisfies the KKT conditions at a nondegenerate vertex,
 the kind of vertex the simplex stage below polishes. On continuous data
 each block's optimal vertex is unique, so a certified block is
-bit-identical to that stage's result. Every product with a design is the
-block's own matrix-vector product and each p-by-p solve its own LAPACK
+bit-identical to that stage's result. Every product with a design, Z'DZ
+included, is the block's own product and each p-by-p solve its own LAPACK
 call, so a block's bits, and whether it is certified, do not depend on the
 other blocks of its batch. The interior point starts no threads and needs
 no scipy.
@@ -76,9 +76,9 @@ from .exceptions import Degenerate, NotConverged
 # entries of a within this distance of 0/1 are treated as at their bound
 _BOUND_TOL = 1e-8
 
-# stacked observations per interior-point batch; a batch peaks at about
-# 250 B per column for p = 2 and 340 B for p = 3 (state, directions and the
-# flattened z_i z_i' products of its designs), so near 4-6 MB
+# stacked observations per interior-point batch; a 150-block fit_levels
+# call at n = 100 peaks at about 225 B per column for p = 2 and 240 B for
+# p = 3 (designs, state, directions and fits), so a batch near 4 MB
 _MAX_IPM_COLUMNS = 16384
 
 # interior point: a block stops at a duality gap of _GAP_TOL (1 + max|y|),
@@ -153,16 +153,16 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
     the batched interior point and its vertex certificate. Each block left
     uncertified is one simplex solve of its own program (see the module
     docstring), so every fit depends only on its own design, response and
-    level, whatever else the batch holds. Levels, shapes, n > p and the
-    rank of each design are checked once, before any solve. Returns one
-    :class:`QuantileFit` per block, design-major: the fit of ys[r][j] is
-    at r * M + j.
+    level, whatever else the batch holds. Levels, shapes, finiteness,
+    n > p and the rank of each design are checked once, before any
+    solve. Returns one :class:`QuantileFit` per block, design-major: the
+    fit of ys[r][j] is at r * M + j.
 
     Raises
     ------
     ValueError
-        If any level lies outside (0, 1), or Z, ys and taus disagree in
-        shape.
+        If any level lies outside (0, 1), Z, ys and taus disagree in shape,
+        or Z or ys holds a value that is not finite.
     Degenerate
         If n <= p, a design is rank deficient or a simplex solve fails
         structurally.
@@ -184,6 +184,8 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
     if ys.shape != Z.shape[:-2] + (levels, n):
         raise ValueError(f"need responses of shape {Z.shape[:-2] + (levels, n)}, "
                          f"one per level of each design, got shape {ys.shape}")
+    if not (np.isfinite(designs).all() and np.isfinite(ys).all()):
+        raise ValueError("design and responses must be finite")
     if n <= p:
         raise Degenerate(f"need n > p, got n={n}, p={p}")
     if np.any(np.linalg.matrix_rank(designs) < p):
@@ -191,38 +193,33 @@ def fit_levels(Z: np.ndarray, ys, taus) -> list:
 
     ys = ys.reshape(-1, n)
     block_taus = taus * count
-    rhs = ((1.0 - np.asarray(taus)[:, None])
-           * designs.sum(axis=1)[:, None]).reshape(-1, p)
     blocks = len(block_taus)
-    fits = {}
+    Zs = designs[np.arange(blocks) // levels]
+    tau_col = np.asarray(block_taus)[:, None]
+    rhs = (1.0 - tau_col) * Zs.sum(axis=1)
+    a_hat = np.zeros((blocks, n))
+    gamma_hat = np.zeros((blocks, p))
+    certified = np.zeros(blocks, dtype=bool)
     # near-equal chunks of at most _MAX_IPM_COLUMNS observations each
     chunks = -(-blocks // max(1, _MAX_IPM_COLUMNS // n))
     cuts = [blocks * i // chunks for i in range(chunks + 1)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        fits.update((lo + b, qfit) for b, qfit in _certified_fits(
-            designs[np.arange(lo, hi) // levels], ys[lo:hi], block_taus[lo:hi],
-            rhs[lo:hi]).items())
-    return [fits[b] if b in fits else _solve_simplex(
-        designs[b // levels], ys[b], block_taus[b], rhs[b]) for b in range(blocks)]
-
-
-def _certified_fits(Zs: np.ndarray, ys: np.ndarray, taus: list,
-                    rhs: np.ndarray) -> dict:
-    """The fits of the blocks whose interior point the vertex certificate
-    accepts, by block index."""
-    p = Zs.shape[2]
-    blocks, gamma = _interior_point(Zs, ys, np.asarray(taus)[:, None], rhs)
-    # near the optimum, the p smallest |residuals| are the rows the
-    # optimal vertex interpolates
-    Zb = Zs[blocks]
-    resid = np.abs(ys[blocks] - _apply(Zb, gamma))
-    rows = np.sort(np.argpartition(resid, p - 1, axis=1)[:, :p], axis=1)
-    polished, a_hat, gamma_hat = _polish(Zb, ys[blocks], rhs[blocks], rows)
-    generic = _interior(a_hat).sum(axis=1) == p
-    certified = blocks[polished[generic]]
-    return dict(zip(certified.tolist(), _fits(
-        Zs[certified], ys[certified], [taus[b] for b in certified],
-        a_hat[generic], gamma_hat[generic])))
+        done, gamma = _interior_point(Zs[lo:hi], ys[lo:hi], tau_col[lo:hi],
+                                      rhs[lo:hi])
+        done += lo
+        Zb, yb = Zs[done], ys[done]
+        # near the optimum, the p smallest |residuals| are the rows the
+        # optimal vertex interpolates
+        resid = np.abs(yb - _apply(Zb, gamma))
+        rows = np.sort(np.argpartition(resid, p - 1, axis=1)[:, :p], axis=1)
+        polished, a, g = _polish(Zb, yb, rhs[done], rows)
+        generic = _interior(a).sum(axis=1) == p
+        b = done[polished[generic]]
+        a_hat[b], gamma_hat[b], certified[b] = a[generic], g[generic], True
+    fits = _fits(Zs, ys, block_taus, a_hat, gamma_hat)
+    for b in np.flatnonzero(~certified):
+        fits[b] = _solve_simplex(designs[b // levels], ys[b], block_taus[b], rhs[b])
+    return fits
 
 
 def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
@@ -241,9 +238,6 @@ def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
     the indices of the done blocks and their coefficients.
     """
     n, p = Zs.shape[1:]
-    # row i of a design gives row i of its products, z_i z_i' flattened, so
-    # that each Z'DZ is one matrix-vector product
-    products = (Zs[..., :, None] * Zs[..., None, :]).reshape(-1, n, p * p)
     x = np.repeat(1.0 - tau_col, n, axis=1)
     s = 1.0 - x
     v = -solve_regular(np.swapaxes(Zs, 1, 2) @ Zs, _times(ys, Zs))
@@ -267,7 +261,7 @@ def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
             d = 1.0 / (z * xi + w * si)
             zw = z - w
             rb = rhs - _times(x - d * zw, Zs)
-            ZDZ = _times(d, products).reshape(-1, p, p)
+            ZDZ = (np.swapaxes(Zs, 1, 2) * d[:, None, :]) @ Zs
             # predictor: the affine-scaling direction, whose dz = -z (1 + dx/x)
             # and dw = -w (1 - dx/s) give both step lengths from dx alone
             dv = solve_regular(ZDZ, rb)
@@ -303,9 +297,8 @@ def _interior_point(Zs: np.ndarray, ys: np.ndarray, tau_col: np.ndarray,
             gammas.append(-v[done])
             keep = ~done & np.isfinite(gap)
             if not keep.all():
-                Zs, products, live, x, s, v, z, w, gap, rhs, tol = (
-                    t[keep] for t in (Zs, products, live, x, s, v, z, w, gap,
-                                      rhs, tol))
+                Zs, live, x, s, v, z, w, gap, rhs, tol = (
+                    t[keep] for t in (Zs, live, x, s, v, z, w, gap, rhs, tol))
     if not blocks:
         return np.zeros(0, dtype=int), np.zeros((0, p))
     return np.concatenate(blocks), np.concatenate(gammas)

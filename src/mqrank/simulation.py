@@ -9,19 +9,20 @@ critical value once per run, and a replication rejects a subset when its
 unit-scale statistic s_c' B_c s_c / v_bar reaches that value. The
 closed decisions are :func:`~mqrank.multiplicity.closure_adjust` over the
 plan's membership matrix, the same reduction as
-:func:`~mqrank.multiplicity.closed_test`. Each replication fills one dict
-of decisions, which is tallied only once the whole replication has
-succeeded; failed replications are counted by exception class.
+:func:`~mqrank.multiplicity.closed_test`. Each chunk of replications
+fills one dict of decisions, a row per replication, which is tallied
+only once the whole chunk has succeeded; failed replications are
+counted by exception class.
 
-The engine splits the replications into contiguous ranges, one per CPU of
-the process's affinity mask, and runs each range in a forked worker. A
-worker is passed the run's plans and critical values with its range, as
-one argument, and sends back each replication's decisions or failure,
-and the warnings raised; the caller counts the replications in order and
-divides once, so a report is the same bits for any number of CPUs.
+The engine cuts the replications once into near-equal chunks of at most
+_CHUNK, at least one per CPU of the process's affinity mask, and maps a
+pool of forked workers, one per CPU, over the chunks. A chunk is sent
+with the run's plans and critical values, as one argument; its decisions
+or failures come back with the warnings raised, and the caller counts
+them in order and divides once, so a report is the same bits for any
+number of CPUs.
 
-A range runs in chunks of at most _CHUNK replications. A chunk is one
-pass: its datasets' score states are one
+A chunk is one pass: its datasets' score states are one
 :func:`~mqrank.rankscore.score_states` batch and their Wald fits one
 :func:`wald_covariances` batch, each one
 :func:`~mqrank.qrsolver.fit_levels` call with every dataset's design at
@@ -295,10 +296,11 @@ class _Job:
     wald: bool
 
 
-def _replicate(job: _Job, reps: range) -> list:
-    """The decisions of the replications in ``reps``, computed as one
-    chunk: per replication, each method's per-hypothesis decisions and each
-    local test's per-subset decisions. Raises where any of them fails.
+def _replicate(job: _Job, reps: range):
+    """The decisions of the ``rows`` replications in ``reps``, computed as
+    one chunk: ``(rows, rejected, local)``, each method's per-hypothesis
+    and each local test's per-subset decisions, a row per replication.
+    Raises where any of them fails.
 
     The chunk's score states and Wald fits are one batch each, and every
     decision is an array operation over the chunk's rows; a row has the
@@ -329,46 +331,37 @@ def _replicate(job: _Job, reps: range) -> list:
         wald_p = wald_p_values(*wald_covariances(datasets, job.spec), job.spec)
         local["wald"] = wald_p <= job.alpha
         rejected["wald"] = local["wald"][:, :len(t)]
-    return [({name: rej[i] for name, rej in rejected.items()},
-             {name: rej[i] for name, rej in local.items()})
-            for i in range(len(reps))]
+    return len(reps), rejected, local
 
 
-def _run_range(job: _Job, reps: range):
-    """The outcomes of the replications in ``reps``, in order, and the
-    warnings they raised as (category, message).
+def _run_chunk(job: _Job, reps: range):
+    """The outcomes of the chunk ``reps``, in order, and the warnings they
+    raised as (category, message).
 
-    An outcome is a replication's ``(rejected, local)`` decisions, the
+    The chunk is one :func:`_replicate` pass, whose decisions are its one
+    outcome. When the pass raises, the chunk is run again one replication
+    at a time, and each outcome is that replication's decisions, the
     ``(class name, message)`` of a failure that ``job.on_error`` records,
     or the index of a failure that it does not record, which ends the
-    range; the caller replays that one to raise.
-
-    The range runs in near-equal chunks of at most _CHUNK replications,
-    each one :func:`_replicate` pass. A chunk whose pass raises is run
-    again one replication at a time, so every outcome is that of its
-    replication run alone. The warnings of a pass that raised are kept: a
-    pass reaches a step only when all its replications got through the
-    steps before, so the replay would raise them too, and the warnings
-    registry may not show them twice.
+    chunk; the caller replays that one to raise. The warnings of a pass
+    that raised are kept: a pass reaches a step only when all its
+    replications got through the steps before, so the replay would raise
+    them too, and the warnings registry may not show them twice.
     """
-    outcomes = []
-    chunks = -(-len(reps) // _CHUNK)
-    pending = [reps[len(reps) * i // chunks:len(reps) * (i + 1) // chunks]
-               for i in range(chunks)]
     with warnings.catch_warnings(record=True) as caught:
-        while pending:
-            chunk = pending.pop(0)
-            try:
-                outcomes += _replicate(job, chunk)
-            except Exception as exc:
-                if len(chunk) > 1:
-                    pending[:0] = [range(rep, rep + 1) for rep in chunk]
-                elif job.on_error == "raise" or not isinstance(exc, MqrankError):
-                    outcomes.append(chunk.start)
-                    break
-                else:
+        try:
+            outcomes = [_replicate(job, reps)]
+        except Exception:
+            outcomes = []
+            for rep in reps:
+                try:
+                    outcomes.append(_replicate(job, range(rep, rep + 1)))
+                except Exception as exc:
+                    if job.on_error == "raise" or not isinstance(exc, MqrankError):
+                        outcomes.append(rep)
+                        break
                     outcomes.append((type(exc).__name__,
-                                     f"replication {chunk.start}: {exc}"))
+                                     f"replication {rep}: {exc}"))
     return outcomes, [(w.category, str(w.message)) for w in caught]
 
 
@@ -381,27 +374,26 @@ def _worker_count(replications: int) -> int:
     return min(cpus, replications)
 
 
-def _run_ranges(job: _Job, ranges: list) -> list:
-    """Each range's outcomes and warnings, in order: one forked worker per
-    range, or all in this process where there is one range, no fork, or
-    this process is itself a daemonic worker (which may not have
-    children)."""
+def _run_chunks(job: _Job, chunks: list, workers: int) -> list:
+    """Each chunk's outcomes and warnings, in order: mapped over a pool of
+    ``workers`` forked processes, or all in this process where there is
+    one worker, no fork, or this process is itself a daemonic worker
+    (which may not have children)."""
     # imported here, not on the import path of every command (about 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    run = functools.partial(_run_range, job)
-    if (len(ranges) == 1
+    run = functools.partial(_run_chunk, job)
+    if (workers == 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return list(map(run, ranges))
-    # each worker is sent the job with its range, as one pickled argument,
-    # and sends back each replication's decisions, to be counted by the
-    # caller. A worker that dies raises BrokenProcessPool here instead of
-    # leaving its range unanswered.
+        return list(map(run, chunks))
+    # each chunk is sent with the job, as one pickled argument, and its
+    # decisions come back to be counted by the caller. A worker that dies
+    # raises BrokenProcessPool here instead of leaving its chunk unanswered.
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(ranges), mp_context=fork) as pool:
-        return list(pool.map(run, ranges))
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        return list(pool.map(run, chunks))
 
 
 def run_monte_carlo(scenario: Scenario,
@@ -422,16 +414,16 @@ def run_monte_carlo(scenario: Scenario,
     count. A failed replication adds to no tally, whatever step it failed
     in, so every rate is over the ``replications_used`` that succeeded.
 
-    The replications are split into contiguous ranges, one per CPU of
-    this process's affinity mask, and each range runs in a forked worker
-    that is passed the run's plans and critical values with its range
-    (``taskset -c 0`` runs them all in this process). Workers return each
-    replication's outcome, and this process counts them in replication
-    order and divides once, so the report is the same for any number of
-    workers: ``error_messages`` keeps the first eight, each distinct
-    warning is issued once, and a failure that is re-raised, or that is
-    not an ``MqrankError``, is replayed here so the caller gets the
-    original exception. A worker that dies raises
+    The replications are cut into near-equal chunks of at most _CHUNK,
+    at least one per CPU of this process's affinity mask, and a pool of
+    forked workers, one per CPU, runs the chunks, each passed with the
+    run's plans and critical values (``taskset -c 0`` runs them all in
+    this process). This process counts the chunks' decisions in
+    replication order and divides once, so the report is the same for
+    any number of workers: ``error_messages`` keeps the first eight,
+    each distinct warning is issued once, and a failure that is
+    re-raised, or that is not an ``MqrankError``, is replayed here so the
+    caller gets the original exception. A worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``.
     """
     for m in methods:
@@ -457,11 +449,14 @@ def run_monte_carlo(scenario: Scenario,
         singles=tuple(m for m in _SINGLE_LEVEL if m in methods))
 
     reps = scenario.replications
+    # near-equal chunks of at most _CHUNK replications, at least one per
+    # worker and none empty
     workers = _worker_count(reps)
-    cuts = [reps * i // workers for i in range(workers + 1)]
-    ranges = _run_ranges(job, list(map(range, cuts[:-1], cuts[1:])))
+    count = min(reps, max(workers, -(-reps // _CHUNK)))
+    cuts = [reps * i // count for i in range(count + 1)]
+    chunks = _run_chunks(job, list(map(range, cuts[:-1], cuts[1:])), workers)
     # each distinct warning once per run, at the caller's line
-    for category, message in dict.fromkeys(w for _, caught in ranges for w in caught):
+    for category, message in dict.fromkeys(w for _, caught in chunks for w in caught):
         warnings.warn(message, category, stacklevel=2)
 
     wald = ["wald"] if job.wald else []
@@ -475,23 +470,23 @@ def run_monte_carlo(scenario: Scenario,
     used = 0
     error_messages = []
     error_classes = Counter()
-    for outcome in (o for outcomes, _ in ranges for o in outcomes):
+    for outcome in (o for outcomes, _ in chunks for o in outcomes):
         if isinstance(outcome, int):
             _replicate(job, range(outcome, outcome + 1))   # raises again
             raise RuntimeError(f"replication {outcome} raised in a worker "
                                "process but not when run again")
-        rejected, local = outcome
-        if isinstance(rejected, str):       # a recorded failure
-            error_classes[rejected] += 1
+        if len(outcome) == 2:               # a recorded failure
+            error_classes[outcome[0]] += 1
             if len(error_messages) < _KEPT_MESSAGES:
-                error_messages.append(local)
+                error_messages.append(outcome[1])
             continue
+        rows, rejected, local = outcome
         for name, rej in rejected.items():
-            hyp_counts[name] += rej
-            fw_counts[name] += bool(rej.any())
+            hyp_counts[name] += rej.sum(axis=0)
+            fw_counts[name] += int(rej.any(axis=1).sum())
         for name, rej in local.items():
-            subset_counts[name] += rej
-        used += 1
+            subset_counts[name] += rej.sum(axis=0)
+        used += rows
 
     denom = max(used, 1)
     return MonteCarloReport(

@@ -265,6 +265,21 @@ def test_serial_monte_carlo_never_loads_scipy_optimize():
     assert _loaded_after(run, ["scipy.optimize", "scipy.sparse"]) == "[]"
 
 
+@pytest.mark.parametrize("where", ["design", "response"])
+def test_non_finite_fit_input_never_loads_scipy_optimize(where):
+    # rejected before any solve, so no block reaches the simplex fallback
+    run = ("import numpy as np\n"
+           "from mqrank import fit\n"
+           "Z = np.column_stack([np.ones(20), np.arange(20.0)])\n"
+           "y = np.sin(np.arange(20.0))\n"
+           f"{'Z[3, 1]' if where == 'design' else 'y[3]'} = np.nan\n"
+           "try:\n"
+           "    fit(Z, y, 0.5)\n"
+           "except ValueError:\n"
+           "    pass")
+    assert _loaded_after(run, ["scipy.optimize"]) == "[]"
+
+
 def test_chisq_noncentral_zero_equals_central():
     for x in (0.5, 3.0, 10.0):
         for k in (1, 2, 5):
@@ -506,6 +521,33 @@ def test_mixture_validation():
                                      noncentralities=noncentralities)
     with pytest.raises(ValueError):
         mixture_quantile(WeightedChiSquareMixture(weights=(1.0,)), 1.5)
+
+
+def test_upper_tails_rejects_invalid_mixtures():
+    # the rule of WeightedChiSquareMixture, applied to every row of a batch
+    lam = np.array([[0.5, 2.0], [1.0, 1.0]])
+    zet = np.array([[0.0, 1.5], [0.25, 0.0]])
+    x = np.array([1.0, 2.0])
+    assert np.isfinite(upper_tails(lam, x, zet)).all()
+    for row, col, bad, match in ((1, 0, -1.0, "strictly positive"),
+                                 (0, 1, 0.0, "strictly positive"),
+                                 (0, 0, float("nan"), "finite"),
+                                 (1, 1, float("inf"), "finite")):
+        weights = lam.copy()
+        weights[row, col] = bad
+        with pytest.raises(ValueError, match=match):
+            upper_tails(weights, x, zet)
+    for row, col, bad, match in ((0, 1, -0.5, "nonnegative"),
+                                 (1, 0, float("nan"), "finite"),
+                                 (0, 0, float("inf"), "finite")):
+        noncentralities = zet.copy()
+        noncentralities[row, col] = bad
+        with pytest.raises(ValueError, match=match):
+            upper_tails(lam, x, noncentralities)
+    with pytest.raises(ValueError, match="strictly positive"):
+        upper_tails([[-1.0, 2.0]], [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        upper_tails([[1.0, 2.0]], [1.0], [[0.0, -0.5]])
 
 
 def test_tails_without_densities_have_the_same_bits():

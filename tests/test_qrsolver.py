@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,6 +151,21 @@ def test_rank_deficient_design_raises():
 def test_bad_tau_raises():
     with pytest.raises(ValueError):
         fit(np.ones((5, 1)), np.arange(5.0), 1.0)
+
+
+@pytest.mark.parametrize("where", ["design", "response"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_input_raises_before_any_solve(where, bad):
+    rng = np.random.default_rng(4)
+    Z, y = random_instance(rng, 30, 2)
+    if where == "design":
+        Z[5, 1] = bad
+    else:
+        y[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit(Z, y, 0.5)
 
 
 def test_quantile_loss_formula():

@@ -396,6 +396,34 @@ def test_report_identical_for_any_worker_count(monkeypatch):
                                            "BandwidthInfeasible": 4}
 
 
+def test_no_chunk_is_empty(monkeypatch, tmp_path):
+    # more workers than replications, and chunks of uneven length; the
+    # sizes are appended to a file, as forked workers share no list
+    sc = Scenario(dgp="hetero_normal", beta=0.4, n=100, taus=(0.25, 0.5, 0.75),
+                  replications=11, seed=60)
+    monkeypatch.setattr(sim, "_worker_count", lambda reps: 1)
+    serial = run_monte_carlo(sc, methods=("closed", "raw")).to_dict()
+    log = tmp_path / "sizes"
+    real = sim._replicate
+
+    def logged(job, reps):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(reps)}\n")
+        return real(job, reps)
+
+    monkeypatch.setattr(sim, "_replicate", logged)
+    for workers in (1, 2, 3, 12):
+        monkeypatch.setattr(sim, "_worker_count", lambda reps, w=workers: w)
+        assert run_monte_carlo(sc, methods=("closed", "raw")).to_dict() == serial
+        sizes = [int(v) for v in log.read_text().split()]
+        log.unlink()
+        assert sum(sizes) == sc.replications
+        assert min(sizes) >= 1
+        assert len(sizes) >= min(workers, sc.replications)
+        assert max(sizes) <= sim._CHUNK
+        assert multiprocessing.active_children() == []
+
+
 def _counting(real, sizes):
     """``real`` that records the number of datasets of every batch it gets."""
     def counted(datasets, spec):
